@@ -5,7 +5,7 @@ use crate::repository::SubexpressionRepo;
 use cv_common::hash::Sig128;
 use cv_common::ids::{JobId, TemplateId, VcId};
 use cv_common::SimTime;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A candidate view: one recurring subexpression with aggregated history.
 #[derive(Clone, Debug)]
@@ -107,7 +107,10 @@ impl SelectionProblem {
     pub fn evaluate(&self, selected: &[bool]) -> (f64, u64) {
         assert_eq!(selected.len(), self.candidates.len());
         // Gather topmost-selected occurrences per (candidate, strict) group.
-        let mut group_works: HashMap<(usize, Sig128), Vec<f64>> = HashMap::new();
+        // Groups are summed in key order: greedy and exact selection compare
+        // these float sums, so their order must not follow a per-process
+        // hash seed.
+        let mut group_works: BTreeMap<(usize, Sig128), Vec<f64>> = BTreeMap::new();
         for q in &self.queries {
             for occ in &q.occurrences {
                 if !selected[occ.candidate] {
@@ -135,8 +138,7 @@ impl SelectionProblem {
         // once — even when nested under another selected view and therefore
         // never matched (the producer job's plan spools both; just-in-time
         // materialization triggers on first hit, §2.4).
-        let mut all_groups: std::collections::HashSet<(usize, Sig128)> =
-            std::collections::HashSet::new();
+        let mut all_groups: BTreeSet<(usize, Sig128)> = BTreeSet::new();
         for q in &self.queries {
             for occ in &q.occurrences {
                 if selected[occ.candidate] {
@@ -471,6 +473,53 @@ pub(crate) mod tests {
         let sub = problem.restrict_to_vc(vcs[0]);
         assert!(sub.queries.len() < problem.queries.len());
         assert!(sub.queries.iter().all(|q| q.vc == vcs[0]));
+    }
+
+    #[test]
+    fn evaluate_sums_groups_in_key_order() {
+        // Group savings of 1e16, 1 and 1: in floating point, 1e16 + 1 + 1
+        // and 1 + 1 + 1e16 differ, so the result exposes the summation
+        // order. Listing the occurrences in two orders must not move a bit.
+        let candidate = |i: u128| ViewCandidate {
+            recurring: Sig128(i),
+            kind: "Filter".into(),
+            node_count: 1,
+            frequency: 2,
+            instance_groups: 1,
+            distinct_jobs: 2,
+            avg_bytes: 0.0,
+            avg_rows: 0.0,
+            avg_subtree_work: 0.0,
+            per_vc: HashMap::new(),
+            datasets: Vec::new(),
+            submit_times: Vec::new(),
+            templates: Vec::new(),
+        };
+        let works = [1e16, 1.0, 1.0];
+        let problem = |order: &[usize]| {
+            let occurrences: Vec<Occurrence> = order
+                .iter()
+                .map(|&c| Occurrence {
+                    candidate: c,
+                    span: (c, c),
+                    work: works[c],
+                    strict: Sig128(100 + c as u128),
+                })
+                .collect();
+            let query = |job| QueryOccurrences {
+                job: JobId(job),
+                occurrences: occurrences.clone(),
+                ..QueryOccurrences::default()
+            };
+            SelectionProblem {
+                candidates: (0..3).map(candidate).collect(),
+                queries: vec![query(1), query(2)],
+            }
+        };
+        let all = [true; 3];
+        let (forward, _) = problem(&[0, 1, 2]).evaluate(&all);
+        let (backward, _) = problem(&[2, 1, 0]).evaluate(&all);
+        assert_eq!(forward.to_bits(), backward.to_bits(), "{forward} vs {backward}");
     }
 
     impl SelectionProblem {

@@ -12,7 +12,7 @@ use cv_cluster::metrics::JobRecord;
 use cv_common::hash::Sig128;
 use cv_common::ids::JobId;
 use cv_core::repository::SubexpressionRepo;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Concurrency count of one recurring join signature on one day.
 #[derive(Clone, Debug)]
@@ -111,7 +111,9 @@ pub fn pipelining_savings_bound(repo: &SubexpressionRepo, records: &[JobRecord])
         .iter()
         .map(|r| (r.result.job, (r.result.start.seconds(), r.result.finish.seconds())))
         .collect();
-    let mut groups: HashMap<(u32, Sig128), Vec<(f64, f64, f64)>> = HashMap::new();
+    // Ordered by key: the bound is a float sum, so the summation order must
+    // not follow a per-process hash seed.
+    let mut groups: BTreeMap<(u32, Sig128), Vec<(f64, f64, f64)>> = BTreeMap::new();
     for rec in repo.records() {
         let Some(work) = rec.subtree_work else { continue };
         if rec.kind == "Scan" {
