@@ -31,7 +31,7 @@ pub use chunk::{chunk_ranges, ChunkedTable, DEFAULT_CHUNK_SIZE};
 pub use column::{Column, ColumnBuilder, ColumnData};
 pub use delta::{diff_tables, TableDelta};
 pub use schema::{Field, Schema, SchemaRef};
-pub use sharded::ShardedViewStore;
+pub use sharded::{shard_of, OpenShard, Sharded, ShardedViewStore};
 pub use store_api::{SharedViewStore, StoreIoStats};
 pub use table::Table;
 pub use value::{DataType, Value};

@@ -1,19 +1,23 @@
-//! Backend-polymorphic view-store interface for the service layer.
+//! The view-store seam: the one interface every driver uses to touch views.
 //!
-//! The sequential driver owns its store concretely, but the service driver
-//! shares one store across worker threads behind a reference. This trait is
-//! the seam that lets that shared store be either the in-memory
-//! [`ShardedViewStore`](crate::sharded::ShardedViewStore) or a disk-backed
-//! store (cv-store) without the service layer caring which.
+//! Both workload drivers — the sequential replay and the concurrent service
+//! — hold their store as `&dyn SharedViewStore` and never name a backend
+//! after opening it. The backends are the in-memory `RwLock<ViewStore>`
+//! shard, cv-store's disk-backed `DurableViewStore`, and the generic
+//! [`Sharded`](crate::sharded::Sharded) front that stripes either one
+//! across N shards. Wrappers (the service layer's pipelined source, a
+//! timing wrapper) implement the trait by delegation.
 //!
 //! Design notes:
 //!
 //! * Mutating methods return `Result` even though the in-memory store cannot
 //!   fail on them — a durable backend can hit injected crashes or I/O faults
 //!   mid-mutation, and the caller must see that.
-//! * [`SharedViewStore::io_stats`] and [`SharedViewStore::is_resident`] have
-//!   in-memory defaults (`None` / always-hot) so the memory backend stays
-//!   byte-identical to the pre-trait code.
+//! * [`SharedViewStore::io_stats`], [`SharedViewStore::is_resident`],
+//!   [`SharedViewStore::recover_in_place`] and
+//!   [`SharedViewStore::checkpoint_now`] have in-memory defaults (`None`,
+//!   always-hot, no-op, no-op), so the memory backend answers them exactly
+//!   as a store without an I/O layer should.
 
 use crate::viewstore::{MaterializedView, ViewSource, ViewStoreStats};
 use cv_common::ids::{VcId, VersionGuid};
@@ -73,11 +77,11 @@ impl StoreIoStats {
     }
 }
 
-/// Thread-safe view store usable behind `&dyn` by the service layer.
+/// Thread-safe view store, used behind `&dyn` by both workload drivers.
 ///
 /// Supertrait [`ViewSource`] supplies the execution-time read path
 /// (including [`ViewSource::read_view_traced`] for hot/cold accounting);
-/// this trait adds the control-plane operations the service driver needs.
+/// this trait adds the control-plane operations the drivers need.
 pub trait SharedViewStore: ViewSource {
     /// Seal a view. Same idempotence contract as
     /// [`crate::viewstore::ViewStore::insert`].
@@ -114,5 +118,16 @@ pub trait SharedViewStore: ViewSource {
     /// disk. Planning-time hint only — always true for in-memory backends.
     fn is_resident(&self, _sig: Sig128) -> bool {
         true
+    }
+    /// Rebuild in-memory state from durable state after a simulated crash,
+    /// as a process restart would. A no-op for backends that cannot crash.
+    /// Only the sequential driver calls this: wrappers need not forward it.
+    fn recover_in_place(&self) -> Result<()> {
+        Ok(())
+    }
+    /// Publish a checkpoint now. A no-op for backends without a log; like
+    /// [`SharedViewStore::recover_in_place`], sequential-driver only.
+    fn checkpoint_now(&self) -> Result<()> {
+        Ok(())
     }
 }

@@ -14,6 +14,7 @@
 //! recomputing the subexpression — a view must never wrong-answer a query.
 
 use crate::schema::SchemaRef;
+use crate::store_api::SharedViewStore;
 use crate::table::Table;
 use cv_common::ids::{JobId, VcId, VersionGuid};
 use cv_common::{
@@ -21,6 +22,7 @@ use cv_common::{
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Content checksum over a table's canonical row rendering; stored on every
 /// sealed view and re-verified on read when fault injection is active.
@@ -123,8 +125,9 @@ impl ViewStoreStats {
 /// Read-side access to materialized views at execution time.
 ///
 /// The executor only ever *reads* views; this trait is the seam that lets it
-/// run against a plain [`ViewStore`], a lock-striped
-/// [`crate::sharded::ShardedViewStore`], or a service-layer wrapper that
+/// run against a plain [`ViewStore`], any [`SharedViewStore`] (in-memory,
+/// durable, or a [`crate::sharded::Sharded`] front), or a service-layer
+/// wrapper that
 /// pipelines from in-flight materializations. Returns an owned [`Table`]
 /// because the executor clones the served data anyway.
 pub trait ViewSource: Sync {
@@ -158,6 +161,92 @@ impl ViewSource for ViewStore {
         now: SimTime,
     ) -> std::result::Result<Option<Table>, ViewReadFault> {
         self.read_for_exec(sig, now).map(|v| v.map(|view| view.data.clone()))
+    }
+}
+
+fn read(store: &RwLock<ViewStore>) -> RwLockReadGuard<'_, ViewStore> {
+    store.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write(store: &RwLock<ViewStore>) -> RwLockWriteGuard<'_, ViewStore> {
+    store.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The in-memory shard: reads take the read lock (hit counters are
+/// atomic), mutations the write lock.
+impl ViewSource for RwLock<ViewStore> {
+    fn read_view(
+        &self,
+        sig: Sig128,
+        now: SimTime,
+    ) -> std::result::Result<Option<Table>, ViewReadFault> {
+        read(self).read_view(sig, now)
+    }
+}
+
+/// Infallible mutations are wrapped in `Ok`; the I/O defaults (no I/O
+/// stats, always resident, nothing to recover or checkpoint) describe a
+/// memory store exactly.
+impl SharedViewStore for RwLock<ViewStore> {
+    fn insert(&self, view: MaterializedView) -> Result<()> {
+        write(self).insert(view)
+    }
+    fn contains(&self, sig: Sig128) -> bool {
+        read(self).contains(sig)
+    }
+    fn contains_live(&self, sig: Sig128, now: SimTime) -> bool {
+        read(self).contains_live(sig, now)
+    }
+    fn is_quarantined(&self, sig: Sig128) -> bool {
+        read(self).is_quarantined(sig)
+    }
+    fn quarantine(&self, sig: Sig128) -> Result<bool> {
+        Ok(write(self).quarantine(sig))
+    }
+    fn peek_meta(&self, sig: Sig128, now: SimTime) -> Option<(u64, u64, f64)> {
+        read(self).peek(sig, now).map(|v| (v.rows as u64, v.bytes, v.observed_work))
+    }
+    fn observed_work(&self, sig: Sig128) -> Option<f64> {
+        read(self).observed_work(sig)
+    }
+    fn evict_expired(&self, now: SimTime) -> Result<usize> {
+        Ok(write(self).evict_expired(now))
+    }
+    fn purge_input(&self, guid: VersionGuid, now: SimTime) -> Result<usize> {
+        Ok(write(self).purge_input(guid, now))
+    }
+    fn purge_vc(&self, vc: VcId, now: SimTime) -> Result<usize> {
+        Ok(write(self).purge_vc(vc, now))
+    }
+    fn sigs_with_input(&self, guid: VersionGuid) -> Vec<Sig128> {
+        let mut out: Vec<Sig128> = read(self)
+            .iter()
+            .filter(|v| v.input_guids.contains(&guid))
+            .map(|v| v.strict_sig)
+            .collect();
+        out.sort();
+        out
+    }
+    fn stats(&self) -> ViewStoreStats {
+        read(self).stats()
+    }
+    fn len(&self) -> usize {
+        read(self).len()
+    }
+    fn total_storage(&self) -> u64 {
+        read(self).total_storage()
+    }
+    fn storage_used(&self, vc: VcId) -> u64 {
+        read(self).storage_used(vc)
+    }
+    fn n_shards(&self) -> usize {
+        1
+    }
+    fn ttl(&self) -> SimDuration {
+        read(self).ttl()
+    }
+    fn set_fault_plan(&self, plan: FaultPlan) {
+        write(self).set_fault_plan(plan)
     }
 }
 

@@ -18,7 +18,7 @@ use cv_common::ids::{JobId, VcId};
 use cv_common::{Result, SimTime};
 use cv_data::catalog::DatasetCatalog;
 use cv_data::table::Table;
-use cv_data::viewstore::{MaterializedView, ViewSource, ViewStore};
+use cv_data::viewstore::{ViewSource, ViewStore};
 use std::sync::Arc;
 
 /// A compiled + optimized job, ready for execution.
@@ -187,21 +187,7 @@ impl QueryEngine {
     ) -> Result<usize> {
         let mut sealed = 0;
         for pv in pending {
-            match self.views.insert(MaterializedView {
-                strict_sig: pv.sig,
-                recurring_sig: pv.recurring_sig,
-                schema: pv.schema.clone(),
-                data: pv.data.clone(),
-                rows: 0,
-                bytes: 0,
-                created: now,
-                expires: now, // recomputed by the store from its TTL
-                creator_job: job,
-                vc,
-                input_guids: pv.input_guids.clone(),
-                observed_work: pv.production_work,
-                checksum: 0, // recomputed by the store
-            }) {
+            match self.views.insert(pv.to_view(job, vc, now)) {
                 Ok(()) => sealed += 1,
                 Err(e) if e.is_fault() => {}
                 Err(e) => return Err(e),

@@ -16,20 +16,22 @@
 //!   ([`cv_common::FaultPoint::WalTornWrite`]), and crash recovery that
 //!   replays to a state whose served rows are byte-identical to a
 //!   never-crashed run;
-//! * [`sharded::ShardedDurableViewStore`] — the lock-striped variant for
-//!   the service layer.
+//! * [`ShardedDurableViewStore`] — the generic [`cv_data::sharded::Sharded`]
+//!   front over durable shards, one `shard-XXX` subdirectory each.
 
 pub mod cache;
 pub mod codec;
 pub mod page;
-pub mod sharded;
 pub mod store;
 pub mod wal;
 
 pub use cache::PageCache;
-pub use sharded::ShardedDurableViewStore;
 pub use store::{DurableStoreOptions, DurableViewStore};
 pub use wal::{DurableViewMeta, WalRecord};
+
+/// Signature-striped durable view store: [`DurableViewStore`] shards under
+/// `dir/shard-XXX`, routed exactly like the in-memory store.
+pub type ShardedDurableViewStore = cv_data::sharded::Sharded<DurableViewStore>;
 
 // The durable stores cross worker threads in the service layer; keep them
 // provably Send + Sync at compile time, like the cv-data stores.

@@ -39,9 +39,10 @@ use cv_core::selection::{
     apply_schedule_awareness, select_per_vc, ExactSelector, GreedySelector,
     LabelPropagationSelector, SelectionConstraints, ViewSelector,
 };
-use cv_data::store_api::StoreIoStats;
+use cv_data::sharded::ShardedViewStore;
+use cv_data::store_api::{SharedViewStore, StoreIoStats};
 use cv_data::value::Value;
-use cv_data::viewstore::{MaterializedView, ViewStore, ViewStoreStats};
+use cv_data::viewstore::ViewStoreStats;
 use cv_engine::engine::QueryEngine;
 use cv_engine::exec::PendingView;
 use cv_engine::optimizer::{AlwaysGrant, OptimizerConfig, ReuseContext};
@@ -51,6 +52,7 @@ use cv_ivm::{IvmEngine, IvmStats, Maintain};
 use cv_service::{OpStateCache, TaggedOpStates};
 use cv_store::{DurableStoreOptions, DurableViewStore};
 use std::collections::{BTreeMap, HashMap};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Which selection algorithm the feedback loop runs.
@@ -94,42 +96,31 @@ impl Default for SelectionKnobs {
 /// Where materialized views live for the run.
 #[derive(Clone, Debug, Default)]
 pub enum StoreBackend {
-    /// The in-memory [`ViewStore`] owned by the engine (the default; no
-    /// durability, no page cache, no crash surface).
+    /// An in-memory view store (the default; no durability, no page cache,
+    /// no crash surface).
     #[default]
     Memory,
     /// The disk-backed [`DurableViewStore`]: WAL + pages + checkpoints
-    /// under the given directory. Survives (simulated and real) restarts.
-    Durable(DurableStoreConfig),
+    /// under `dir`. Reopening an existing directory recovers the views a
+    /// previous run left behind (restart-and-resume).
+    Durable { dir: PathBuf, opts: DurableStoreOptions },
 }
 
-/// Configuration of the durable backend.
-#[derive(Clone, Debug)]
-pub struct DurableStoreConfig {
-    /// Store directory. Reopening an existing directory recovers the views
-    /// a previous run left behind (restart-and-resume).
-    pub dir: std::path::PathBuf,
-    /// Buffer-pool capacity in 8 KiB pages.
-    pub cache_pages: usize,
-    /// Checkpoint after this many WAL records.
-    pub checkpoint_every: u64,
-}
-
-impl DurableStoreConfig {
-    pub fn new(dir: impl Into<std::path::PathBuf>) -> DurableStoreConfig {
-        let defaults = DurableStoreOptions::default();
-        DurableStoreConfig {
-            dir: dir.into(),
-            cache_pages: defaults.cache_pages,
-            checkpoint_every: defaults.checkpoint_every,
-        }
+impl StoreBackend {
+    /// The durable backend under `dir` with default options.
+    pub fn durable(dir: impl Into<PathBuf>) -> StoreBackend {
+        StoreBackend::Durable { dir: dir.into(), opts: DurableStoreOptions::default() }
     }
 
-    fn options(&self) -> DurableStoreOptions {
-        DurableStoreOptions {
-            cache_pages: self.cache_pages,
-            checkpoint_every: self.checkpoint_every,
-        }
+    /// Open the run's store. Every driver call after this goes through the
+    /// returned [`SharedViewStore`], whatever the backend.
+    fn open(&self, ttl: SimDuration) -> Result<Box<dyn SharedViewStore>> {
+        Ok(match self {
+            StoreBackend::Memory => Box::new(ShardedViewStore::new(ttl, 1)),
+            StoreBackend::Durable { dir, opts } => {
+                Box::new(DurableViewStore::open(dir, ttl, opts.clone())?)
+            }
+        })
     }
 }
 
@@ -317,19 +308,12 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
         // with a CV0xx diagnostic instead of sealing bad results.
         engine.optimizer.set_verifier(analyzer);
     }
-    engine.views = ViewStore::new(cfg.view_ttl);
-    engine.views.set_fault_plan(cfg.faults.clone());
-    // Durable backend: views live on disk behind a WAL + page cache; the
-    // engine's own store stays empty. Reopening an existing directory
-    // recovers whatever a previous run (or a crashed run) left behind.
-    let durable: Option<DurableViewStore> = match &cfg.store {
-        StoreBackend::Memory => None,
-        StoreBackend::Durable(d) => {
-            let store = DurableViewStore::open(&d.dir, cfg.view_ttl, d.options())?;
-            store.set_fault_plan(cfg.faults.clone());
-            Some(store)
-        }
-    };
+    // All view traffic goes through this store; the engine's own store
+    // stays empty. A durable directory that already holds views recovers
+    // whatever a previous (or crashed) run left behind.
+    let store = cfg.store.open(cfg.view_ttl)?;
+    let store: &dyn SharedViewStore = &*store;
+    store.set_fault_plan(cfg.faults.clone());
     let mut insights = InsightsService::new(cfg.controls.clone());
     let mut sim = ClusterSim::new(cfg.cluster.clone());
     sim.set_fault_plan(cfg.faults.clone());
@@ -365,7 +349,7 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
             &mut engine,
             &mut insights,
             cfg.view_ttl,
-            durable.as_ref(),
+            store,
             &mut robustness,
         )?;
 
@@ -401,12 +385,12 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
             if day_idx > 0 && day_idx % every == 0 {
                 gdpr_purged_views += apply_gdpr(
                     &mut engine,
+                    store,
                     &mut insights,
                     op_states.as_deref(),
                     workload.config.seed,
                     day,
-                    durable.as_ref(),
-                    &mut robustness,
+                    Some(&mut robustness),
                 )? as u64;
             }
         }
@@ -430,17 +414,10 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
                 &mut engine,
                 &mut insights,
                 cfg.view_ttl,
-                durable.as_ref(),
+                store,
                 &mut robustness,
             )?;
-            match &durable {
-                Some(s) => {
-                    with_crash_retry(s, &mut robustness, |s| s.evict_expired(submit))?;
-                }
-                None => {
-                    engine.views.evict_expired(submit);
-                }
-            }
+            with_crash_retry(store, Some(&mut robustness), |s| s.evict_expired(submit))?;
             insights.expire(submit);
 
             let job = JobId(next_job);
@@ -469,7 +446,7 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
                     job,
                     enabled,
                     cfg.view_ttl,
-                    durable.as_ref(),
+                    store,
                     &mut robustness,
                 ) {
                     Ok(Some(digest)) => {
@@ -505,7 +482,7 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
                 day,
                 meta,
                 enabled && !metadata_down,
-                durable.as_ref(),
+                store,
                 ivm_ingest,
             );
             match run {
@@ -523,14 +500,7 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
                     // run: the engine recomputes instead of retrying a bad
                     // artifact.
                     for sig in &one.quarantined_sigs {
-                        match &durable {
-                            Some(s) => {
-                                with_crash_retry(s, &mut robustness, |s| s.quarantine(*sig))?;
-                            }
-                            None => {
-                                engine.views.quarantine(*sig);
-                            }
-                        }
+                        with_crash_retry(store, Some(&mut robustness), |s| s.quarantine(*sig))?;
                         insights.quarantine(*sig);
                     }
                     // Quarantine coupling: cached breaker states derived
@@ -582,7 +552,7 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
         &mut engine,
         &mut insights,
         cfg.view_ttl,
-        durable.as_ref(),
+        store,
         &mut robustness,
     )?;
 
@@ -598,21 +568,14 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
     }
     // Final checkpoint: a later run reopening the directory recovers from
     // the checkpoint instead of a long WAL replay.
-    let store_io = match &durable {
-        Some(s) => {
-            with_crash_retry(s, &mut robustness, |s| s.checkpoint_now())?;
-            let io = s.io_stats();
-            robustness.store_recoveries += io.recoveries;
-            robustness.wal_records_replayed += io.wal_records_replayed;
-            robustness.wal_records_skipped += io.wal_records_skipped;
-            Some(io)
-        }
-        None => None,
-    };
-    let store_stats = match &durable {
-        Some(s) => s.stats(),
-        None => engine.views.stats(),
-    };
+    with_crash_retry(store, Some(&mut robustness), |s| s.checkpoint_now())?;
+    let store_io = store.io_stats();
+    if let Some(io) = &store_io {
+        robustness.store_recoveries += io.recoveries;
+        robustness.wal_records_replayed += io.wal_records_replayed;
+        robustness.wal_records_skipped += io.wal_records_skipped;
+    }
+    let store_stats = store.stats();
     robustness.view_write_failures = store_stats.write_failures;
     robustness.views_quarantined = store_stats.views_quarantined;
 
@@ -645,7 +608,7 @@ fn try_ivm_maintain(
     job: JobId,
     enabled: bool,
     view_ttl: SimDuration,
-    durable: Option<&DurableViewStore>,
+    store: &dyn SharedViewStore,
     robustness: &mut RobustnessStats,
 ) -> Result<Option<Sig128>> {
     let Ok(plan) = template.build_plan(engine, day) else {
@@ -685,7 +648,7 @@ fn try_ivm_maintain(
             template.vc,
             submit,
             view_ttl,
-            durable,
+            store,
             robustness,
         )?;
     }
@@ -717,7 +680,7 @@ fn publish_maintained(
     vc: VcId,
     submit: SimTime,
     view_ttl: SimDuration,
-    durable: Option<&DurableViewStore>,
+    store: &dyn SharedViewStore,
     robustness: &mut RobustnessStats,
 ) -> Result<()> {
     let sig_cfg = engine.optimizer.cfg.sig.clone();
@@ -736,13 +699,7 @@ fn publish_maintained(
         production_work: mv.rows_touched as f64,
         write_work: 0.0,
     };
-    let sealed = match durable {
-        Some(store) => {
-            seal_views_durable(store, std::slice::from_ref(&pv), job, vc, submit, robustness)?
-        }
-        None => engine.seal_views(std::slice::from_ref(&pv), job, vc, submit)?,
-    };
-    if sealed > 0 {
+    if seal_view(store, &pv, job, vc, submit, Some(robustness))? {
         insights.report_sealed(
             ViewInfo {
                 strict,
@@ -775,65 +732,46 @@ fn scan_guids(plan: &std::sync::Arc<LogicalPlan>) -> Vec<cv_common::ids::Version
     v
 }
 
-/// Run a durable-store mutation, absorbing one simulated crash: on
-/// [`CvError::Crash`] the store is recovered in place (WAL + checkpoint
-/// replay) and the operation retried once. Replay is idempotent, so a
-/// retried mutation that already committed before the crash is a no-op.
+/// Run a store mutation. With `crashes` set — the sequential driver only —
+/// one simulated crash ([`CvError::is_crash`](cv_common::CvError::is_crash))
+/// is absorbed: the store recovers in place (WAL + checkpoint replay) and
+/// the mutation is retried once. Replay is idempotent, so a retried
+/// mutation that already committed before the crash is a no-op.
 fn with_crash_retry<T>(
-    store: &DurableViewStore,
-    robustness: &mut RobustnessStats,
-    op: impl Fn(&DurableViewStore) -> Result<T>,
+    store: &dyn SharedViewStore,
+    crashes: Option<&mut RobustnessStats>,
+    op: impl Fn(&dyn SharedViewStore) -> Result<T>,
 ) -> Result<T> {
-    match op(store) {
-        Err(e) if e.is_crash() => {
+    match (op(store), crashes) {
+        (Err(e), Some(robustness)) if e.is_crash() => {
             robustness.store_crashes += 1;
             store.recover_in_place()?;
             op(store)
         }
-        other => other,
+        (other, _) => other,
     }
 }
 
-/// Seal pending views into the durable store — the disk-backed counterpart
-/// of [`QueryEngine::seal_views`], with the same absorb-write-faults
-/// contract plus crash-recovery retry.
-fn seal_views_durable(
-    store: &DurableViewStore,
-    pending: &[PendingView],
+/// Seal one pending view (the job-manager step, at the producing stage's
+/// finish time under early sealing, paper §2.3) and report whether it
+/// landed. Both drivers seal through here. An injected write failure is
+/// absorbed — the half-materialized view is discarded, the job already
+/// succeeded — and the store drops a quarantined signature silently, so
+/// landing is re-checked with `contains`. Callers advertise only views
+/// that landed. `crashes` as in [`with_crash_retry`].
+pub(crate) fn seal_view(
+    store: &dyn SharedViewStore,
+    pv: &PendingView,
     job: JobId,
     vc: VcId,
     now: SimTime,
-    robustness: &mut RobustnessStats,
-) -> Result<usize> {
-    let mut sealed = 0;
-    for pv in pending {
-        let insert = with_crash_retry(store, robustness, |s| {
-            s.insert(MaterializedView {
-                strict_sig: pv.sig,
-                recurring_sig: pv.recurring_sig,
-                schema: pv.schema.clone(),
-                data: pv.data.clone(),
-                rows: 0,
-                bytes: 0,
-                created: now,
-                expires: now, // recomputed by the store from its TTL
-                creator_job: job,
-                vc,
-                input_guids: pv.input_guids.clone(),
-                observed_work: pv.production_work,
-                checksum: 0, // recomputed by the store
-            })
-        });
-        match insert {
-            // The store silently drops quarantined signatures; only count
-            // views that actually landed.
-            Ok(()) if store.contains(pv.sig) => sealed += 1,
-            Ok(()) => {}
-            Err(e) if e.is_fault() => {}
-            Err(e) => return Err(e),
-        }
+    crashes: Option<&mut RobustnessStats>,
+) -> Result<bool> {
+    match with_crash_retry(store, crashes, |s| s.insert(pv.to_view(job, vc, now))) {
+        Ok(()) => Ok(store.contains(pv.sig)),
+        Err(e) if e.is_fault() => Ok(false),
+        Err(e) => Err(e),
     }
-    Ok(sealed)
 }
 
 /// Deterministic per-(dataset, day) data stream, independent of everything
@@ -868,7 +806,7 @@ fn run_one_job(
     day: SimDay,
     meta: JobMeta,
     enabled: bool,
-    durable: Option<&DurableViewStore>,
+    store: &dyn SharedViewStore,
     ivm_ingest: bool,
 ) -> Result<OneJob> {
     let plan = template.build_plan(engine, day)?;
@@ -880,11 +818,9 @@ fn run_one_job(
     };
     // Residency-aware costing: views whose pages are not in the buffer
     // pool pay the cold-read multiplier in the optimizer's reuse-vs-
-    // recompute comparison.
-    if let Some(store) = durable {
-        for (sig, meta) in reuse.available.iter_mut() {
-            meta.cold = !store.is_resident(*sig);
-        }
+    // recompute comparison (an in-memory store is always resident).
+    for (sig, meta) in reuse.available.iter_mut() {
+        meta.cold = !store.is_resident(*sig);
     }
 
     let compiled = if enabled {
@@ -894,11 +830,7 @@ fn run_one_job(
         engine.optimize(&plan, &reuse, &mut AlwaysGrant)?
     };
 
-    let exec_result = match durable {
-        Some(store) => engine.execute_with(&compiled.outcome.physical, store, meta.submit),
-        None => engine.execute(&compiled.outcome.physical, meta.submit),
-    };
-    let exec = match exec_result {
+    let exec = match engine.execute_with(&compiled.outcome.physical, store, meta.submit) {
         Ok(e) => e,
         Err(e) => {
             // Release any creation locks this job acquired before bailing.
@@ -970,11 +902,11 @@ fn process_sim_events(
     engine: &mut QueryEngine,
     insights: &mut InsightsService,
     ttl: SimDuration,
-    durable: Option<&DurableViewStore>,
+    store: &dyn SharedViewStore,
     robustness: &mut RobustnessStats,
 ) -> Result<()> {
     let events = sim.run_until(until);
-    apply_seal_events(&events, pending, engine, insights, ttl, durable, robustness)
+    apply_seal_events(&events, pending, engine, insights, ttl, store, robustness)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -984,26 +916,13 @@ fn apply_seal_events(
     engine: &mut QueryEngine,
     insights: &mut InsightsService,
     ttl: SimDuration,
-    durable: Option<&DurableViewStore>,
+    store: &dyn SharedViewStore,
     robustness: &mut RobustnessStats,
 ) -> Result<()> {
     for ev in events {
         if let SimEvent::ViewSealed { sig, at, .. } = ev {
             let Some(seal) = pending.remove(sig) else { continue };
-            let sealed = match durable {
-                Some(store) => seal_views_durable(
-                    store,
-                    std::slice::from_ref(&seal.view),
-                    seal.job,
-                    seal.vc,
-                    *at,
-                    robustness,
-                )?,
-                None => {
-                    engine.seal_views(std::slice::from_ref(&seal.view), seal.job, seal.vc, *at)?
-                }
-            };
-            if sealed == 0 {
+            if !seal_view(store, &seal.view, seal.job, seal.vc, *at, Some(&mut *robustness))? {
                 // Injected write failure: the half-materialized view was
                 // discarded and must never be advertised — release the
                 // creation lock so a later job can rebuild it.
@@ -1077,16 +996,19 @@ pub(crate) fn run_analysis(
 }
 
 /// Apply one GDPR forget-request: pick a deterministic user id, delete it
-/// from `users`, rotate the GUID, purge derived views (§4).
+/// from `users`, rotate the GUID, and purge every view derived from the
+/// retired version from the store, the serving index and the
+/// operator-state cache (§4). Both drivers purge through here; `crashes`
+/// as in [`with_crash_retry`].
 #[allow(clippy::too_many_arguments)]
-fn apply_gdpr(
+pub(crate) fn apply_gdpr(
     engine: &mut QueryEngine,
+    store: &dyn SharedViewStore,
     insights: &mut InsightsService,
     op_states: Option<&OpStateCache>,
     seed: u64,
     day: SimDay,
-    durable: Option<&DurableViewStore>,
-    robustness: &mut RobustnessStats,
+    crashes: Option<&mut RobustnessStats>,
 ) -> Result<usize> {
     let Some(id) = engine.catalog.id_of("users") else {
         return Ok(0);
@@ -1094,28 +1016,13 @@ fn apply_gdpr(
     let mut rng = data_rng(seed, "gdpr", day);
     let victim = rng.range_i64(0, 40);
     let outcome = engine.catalog.gdpr_forget(id, "u_id", &Value::Int(victim), day.start())?;
-    // Purge every view derived from the retired version.
-    let (stale, purged): (Vec<Sig128>, usize) = match durable {
-        Some(store) => {
-            let stale = store.sigs_with_input(outcome.old_guid);
-            let purged = with_crash_retry(store, robustness, |s| {
-                s.purge_input(outcome.old_guid, day.start())
-            })?;
-            (stale, purged)
-        }
-        None => {
-            let stale: Vec<Sig128> = engine
-                .views
-                .iter()
-                .filter(|v| v.input_guids.contains(&outcome.old_guid))
-                .map(|v| v.strict_sig)
-                .collect();
-            (stale, engine.views.purge_input(outcome.old_guid, day.start()))
-        }
-    };
+    let stale = store.sigs_with_input(outcome.old_guid);
+    let purged =
+        with_crash_retry(store, crashes, |s| s.purge_input(outcome.old_guid, day.start()))?;
     insights.purge_sigs(&stale);
-    // Operator-state coupling: rotated guids already invalidate the keys;
-    // eager purge drops any cached bytes derived from the forgotten rows.
+    // Operator-state coupling: the rotated guid already invalidates the
+    // keys, but eager purge frees the budget and drops any state whose
+    // bytes were derived from the forgotten rows.
     if let Some(cache) = op_states {
         cache.purge_input("users");
         cache.purge_sigs(&stale);
@@ -1338,7 +1245,7 @@ mod tests {
         mem_cfg.cluster = quick_cluster();
         let dir = temp_store_dir("parity");
         let mut disk_cfg = mem_cfg.clone();
-        disk_cfg.store = StoreBackend::Durable(DurableStoreConfig::new(&dir));
+        disk_cfg.store = StoreBackend::durable(&dir);
 
         let mem = run_workload(&w, &mem_cfg).unwrap();
         let disk = run_workload(&w, &disk_cfg).unwrap();
@@ -1359,7 +1266,7 @@ mod tests {
         let dir = temp_store_dir("resume");
         let mut cfg = DriverConfig::enabled(3);
         cfg.cluster = quick_cluster();
-        cfg.store = StoreBackend::Durable(DurableStoreConfig::new(&dir));
+        cfg.store = StoreBackend::durable(&dir);
         let first = run_workload(&w, &cfg).unwrap();
         assert!(first.view_store_stats.views_created > 0);
 
@@ -1380,7 +1287,7 @@ mod tests {
         let mut cfg = DriverConfig::enabled(3);
         cfg.cluster = quick_cluster();
         let baseline_dir = temp_store_dir("crash-base");
-        cfg.store = StoreBackend::Durable(DurableStoreConfig::new(&baseline_dir));
+        cfg.store = StoreBackend::durable(&baseline_dir);
         let baseline = run_workload(&w, &cfg).unwrap();
         let budget = baseline.store_io.as_ref().unwrap().bytes_written_durably;
         assert!(budget > 0);
@@ -1389,7 +1296,7 @@ mod tests {
         // recover in place and finish with byte-identical per-job digests.
         let crash_dir = temp_store_dir("crash-kill");
         let mut crash_cfg = cfg.clone();
-        crash_cfg.store = StoreBackend::Durable(DurableStoreConfig::new(&crash_dir));
+        crash_cfg.store = StoreBackend::durable(&crash_dir);
         crash_cfg.faults = FaultPlan::seeded(7).with_crash_after_bytes(budget / 2);
         let crashed = run_workload(&w, &crash_cfg).unwrap();
         assert_eq!(crashed.robustness.store_crashes, 1, "the crash budget must trip once");

@@ -37,7 +37,7 @@
 //! `(submit, job)` before feeding the simulator — concurrent completion
 //! order can never leak into the metrics (the monotonic-submission fix).
 
-use crate::driver::{data_rng, digest_table, run_analysis, DriverConfig};
+use crate::driver::{apply_gdpr, data_rng, digest_table, run_analysis, seal_view, DriverConfig};
 use crate::generator::Workload;
 use crate::schemas::raw_specs;
 use crate::service_obs::{job_track, ServiceObs};
@@ -54,8 +54,7 @@ use cv_core::repository::{JobMeta, SubexpressionRepo};
 use cv_core::SharedInsights;
 use cv_data::sharded::ShardedViewStore;
 use cv_data::store_api::SharedViewStore;
-use cv_data::value::Value;
-use cv_data::viewstore::{MaterializedView, ViewStoreStats};
+use cv_data::viewstore::ViewStoreStats;
 use cv_engine::engine::QueryEngine;
 use cv_engine::exec::{ExecOutcome, OpStateSource, PendingView};
 use cv_engine::optimizer::{AlwaysGrant, ReuseContext, SemanticGrant, ViewMeta};
@@ -86,12 +85,6 @@ pub struct ServiceConfig {
     /// everything immediately, the pool's admission control is the only
     /// throttle).
     pub pacing_us_per_sim_hour: u64,
-    /// Resident-bytes budget for the shared operator-state cache
-    /// (pipeline-breaker reuse: hash-join builds, aggregate states, sort
-    /// runs). 0 disables the cache. Hits skip the build subtree, so
-    /// work/read accounting shifts between jobs while per-job result
-    /// digests stay byte-identical at any budget.
-    pub op_state_budget_bytes: u64,
 }
 
 impl Default for ServiceConfig {
@@ -102,7 +95,6 @@ impl Default for ServiceConfig {
             vc_inflight_limit: 4,
             queue_cap: 32,
             pacing_us_per_sim_hour: 0,
-            op_state_budget_bytes: 0,
         }
     }
 }
@@ -449,8 +441,8 @@ pub fn run_workload_service_with_store(
     // Shared operator-state cache: one builder per breaker signature,
     // recurring days skip rebuilds whose inputs didn't rotate (keys embed
     // the scanned GUIDs, so rotated inputs self-invalidate).
-    let op_states: Option<Arc<OpStateCache>> = (svc.op_state_budget_bytes > 0)
-        .then(|| Arc::new(OpStateCache::with_budget(svc.op_state_budget_bytes)));
+    let op_states: Option<Arc<OpStateCache>> = (cfg.op_state_budget_bytes > 0)
+        .then(|| Arc::new(OpStateCache::with_budget(cfg.op_state_budget_bytes)));
     if let Some(cache) = &op_states {
         // Warm-aware planning: a resident build side can flip a
         // merge-join pick back to hash (byte-safe — all join algorithms
@@ -524,13 +516,14 @@ pub fn run_workload_service_with_store(
 
         if let Some(every) = cfg.gdpr_every_days {
             if day_idx > 0 && day_idx % every == 0 {
-                gdpr_purged_views += apply_gdpr_service(
+                gdpr_purged_views += apply_gdpr(
                     &mut engine,
                     store,
-                    &insights,
+                    &mut insights.lock(),
                     op_states.as_deref(),
                     workload.config.seed,
                     day,
+                    None,
                 )? as u64;
             }
         }
@@ -1378,26 +1371,9 @@ fn seal_pending(
         stats.duplicate_materializations.fetch_add(1, Ordering::Relaxed);
         return SealState::Duplicate;
     }
-    let insert = store.insert(MaterializedView {
-        strict_sig: pv.sig,
-        recurring_sig: pv.recurring_sig,
-        schema: pv.schema.clone(),
-        data: pv.data.clone(),
-        rows: 0,
-        bytes: 0,
-        created: now,
-        expires: now, // recomputed by the store from its TTL
-        creator_job: job,
-        vc,
-        input_guids: pv.input_guids.clone(),
-        observed_work: pv.production_work,
-        checksum: 0, // recomputed by the store
-    });
-    match insert {
-        // The store may silently drop a quarantined signature; re-check.
-        Ok(()) if store.contains(pv.sig) => SealState::Published,
-        Ok(()) => SealState::Dropped,
-        Err(_) => SealState::Dropped,
+    match seal_view(store, pv, job, vc, now, None) {
+        Ok(true) => SealState::Published,
+        Ok(false) | Err(_) => SealState::Dropped,
     }
 }
 
@@ -1418,35 +1394,6 @@ fn spool_promise(plan: &PhysicalPlan, target: Sig128) -> PromisedView {
         }
     }
     PromisedView::default()
-}
-
-/// GDPR forget-request against the shared sharded store (mirrors the
-/// sequential driver's `apply_gdpr`).
-fn apply_gdpr_service(
-    engine: &mut QueryEngine,
-    store: &dyn SharedViewStore,
-    insights: &SharedInsights,
-    op_states: Option<&OpStateCache>,
-    seed: u64,
-    day: SimDay,
-) -> Result<usize> {
-    let Some(id) = engine.catalog.id_of("users") else {
-        return Ok(0);
-    };
-    let mut rng = data_rng(seed, "gdpr", day);
-    let victim = rng.range_i64(0, 40);
-    let outcome = engine.catalog.gdpr_forget(id, "u_id", &Value::Int(victim), day.start())?;
-    let stale = store.sigs_with_input(outcome.old_guid);
-    let purged = store.purge_input(outcome.old_guid, day.start())?;
-    insights.lock().purge_sigs(&stale);
-    // Operator-state coupling: the rotated guid already invalidates the
-    // keys, but eager purge frees the budget and drops any state whose
-    // bytes were derived from the forgotten rows.
-    if let Some(cache) = op_states {
-        cache.purge_input("users");
-        cache.purge_sigs(&stale);
-    }
-    Ok(purged)
 }
 
 /// Deterministically merge concurrently completed jobs into the cluster
@@ -1688,13 +1635,10 @@ mod tests {
         .unwrap();
         assert!(!off.service.op_state.enabled);
 
+        let on_cfg = DriverConfig { op_state_budget_bytes: 64 << 20, ..cfg.clone() };
         for workers in [1usize, 4] {
-            let svc = ServiceConfig {
-                workers,
-                op_state_budget_bytes: 64 << 20,
-                ..ServiceConfig::default()
-            };
-            let on = run_workload_service(&w, &cfg, &svc).unwrap();
+            let svc = ServiceConfig { workers, ..ServiceConfig::default() };
+            let on = run_workload_service(&w, &on_cfg, &svc).unwrap();
             assert_eq!(on.failed_jobs, 0);
             assert_eq!(
                 on.result_digests, off.result_digests,
@@ -1721,19 +1665,11 @@ mod tests {
         let mut cfg = DriverConfig::enabled(3);
         cfg.cluster = quick_cluster();
         cfg.gdpr_every_days = Some(1);
-        let svc_on = ServiceConfig {
-            workers: 4,
-            op_state_budget_bytes: 64 << 20,
-            ..ServiceConfig::default()
-        };
-        let on = run_workload_service(&w, &cfg, &svc_on).unwrap();
+        let svc = ServiceConfig { workers: 4, ..ServiceConfig::default() };
+        let on_cfg = DriverConfig { op_state_budget_bytes: 64 << 20, ..cfg.clone() };
+        let on = run_workload_service(&w, &on_cfg, &svc).unwrap();
         assert_eq!(on.failed_jobs, 0);
-        let off = run_workload_service(
-            &w,
-            &cfg,
-            &ServiceConfig { workers: 4, ..ServiceConfig::default() },
-        )
-        .unwrap();
+        let off = run_workload_service(&w, &cfg, &svc).unwrap();
         assert_eq!(on.result_digests, off.result_digests);
         let os = &on.service.op_state;
         assert!(os.purged > 0, "forget-request must purge operator state: {os:?}");
