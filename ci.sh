@@ -67,16 +67,21 @@ print(f"    crash gate OK ({r['store_crashes']} crashes, {r['recoveries']} recov
 EOF
 rm -rf "$crash_dir"
 
+# Smoke runs write their bench artifacts here, never over the committed
+# BENCH_*.json files at the repo root.
+bench_dir="$(mktemp -d)"
+trap 'rm -rf "$bench_dir"' EXIT
+
 echo "==> cv-serve smoke gate (digest equality + trace structure across worker counts)"
 trace_json="$(mktemp)"
 metrics_json="$(mktemp)"
 cargo run --release -q --bin cv-serve -- --days 3 --scale 0.05 --analytics 12 \
-  --seed 42 --workers 8 --min-speedup auto --bench BENCH_service.json \
+  --seed 42 --workers 8 --min-speedup auto --bench "$bench_dir/BENCH_service.json" \
   --op-state-cache --trace "$trace_json" --metrics "$metrics_json" \
   > /dev/null || { echo "cv-serve: service contract violated"; exit 1; }
 
 echo "==> trace + bench artifact validation"
-python3 - "$trace_json" "$metrics_json" <<'EOF'
+python3 - "$trace_json" "$metrics_json" "$bench_dir/BENCH_service.json" <<'EOF'
 import json, sys
 trace = json.load(open(sys.argv[1]))
 events = trace["traceEvents"]
@@ -87,7 +92,7 @@ metrics = json.load(open(sys.argv[2]))
 for key in ("op_state.hits", "op_state.misses", "op_state.published",
             "op_state.cross_job_hits", "op_state.evicted", "op_state.purged"):
     assert key in metrics, f"metrics dump missing {key}"
-bench = json.load(open("BENCH_service.json"))
+bench = json.load(open(sys.argv[3]))
 phases = bench["phase_wall_seconds"]
 for key in ("compile", "execute_parallel", "execute_pool", "commit", "pool_overhead"):
     assert key in phases, f"phase_wall_seconds missing {key}"
@@ -143,10 +148,10 @@ chunk_bench="$(mktemp)"
 cargo run --release -q --bin cv-serve -- --days 3 --scale 0.05 --analytics 12 \
   --seed 42 --workers 8 --chunk-size 333 --min-speedup auto --bench "$chunk_bench" \
   > /dev/null || { echo "cv-serve: chunk-size 333 run violated a contract"; exit 1; }
-python3 - "$chunk_bench" <<'EOF'
+python3 - "$bench_dir/BENCH_service.json" "$chunk_bench" <<'EOF'
 import json, sys
-a = json.load(open("BENCH_service.json"))
-b = json.load(open(sys.argv[1]))
+a = json.load(open(sys.argv[1]))
+b = json.load(open(sys.argv[2]))
 assert b["chunk_size"] == 333, "chunk-size flag did not take"
 assert a["digest_checksum"] == b["digest_checksum"], \
     "chunk size changed result digests (2048 vs 333)"
@@ -156,13 +161,13 @@ rm -f "$chunk_bench"
 
 echo "==> containment gate (semantic on/off digest parity + compensated hits)"
 cargo run --release -q --bin cv-analyze -- --containment --days 4 --scale 0.05 \
-  --seed 42 --json BENCH_reuse.json \
+  --seed 42 --json "$bench_dir/BENCH_reuse.json" \
   > /dev/null || { echo "cv-analyze: containment audit failed"; exit 1; }
 
 echo "==> reuse bench artifact validation"
-python3 - <<'EOF'
-import json
-bench = json.load(open("BENCH_reuse.json"))
+python3 - "$bench_dir/BENCH_reuse.json" <<'EOF'
+import json, sys
+bench = json.load(open(sys.argv[1]))
 assert bench["mode"] == "containment", "wrong bench artifact"
 for key in ("jobs", "views_reused", "views_reused_exact", "views_reused_semantic",
             "exact_hit_rate", "compensated_hit_rate", "semantic_considered",
@@ -186,13 +191,13 @@ EOF
 
 echo "==> ivm gate (incremental maintenance vs full-rebuild digest parity)"
 cargo run --release -q --bin cv-analyze -- --ivm --days 4 --scale 0.1 \
-  --seed 42 --json BENCH_ivm.json \
+  --seed 42 --json "$bench_dir/BENCH_ivm.json" \
   > /dev/null || { echo "cv-analyze: ivm audit failed"; exit 1; }
 
 echo "==> ivm bench artifact validation"
-python3 - <<'EOF'
-import json
-bench = json.load(open("BENCH_ivm.json"))
+python3 - "$bench_dir/BENCH_ivm.json" <<'EOF'
+import json, sys
+bench = json.load(open(sys.argv[1]))
 assert bench["mode"] == "ivm", "wrong bench artifact"
 for key in ("jobs", "failed_jobs", "digests_match", "ivm", "rows_touched_total",
             "savings_ratio", "obs_counters"):
@@ -212,13 +217,13 @@ print(f"    ivm bench OK ({ivm['maintained']} maintained, {ivm['rebuilt']} fallb
 EOF
 
 echo "==> kernels microbench smoke gate (typed engine kernels)"
-cargo run --release -q -p cv-bench --bin kernels -- --smoke --out BENCH_engine.json \
+cargo run --release -q -p cv-bench --bin kernels -- --smoke --out "$bench_dir/BENCH_engine.json" \
   > /dev/null || { echo "kernels: microbench failed"; exit 1; }
 
 echo "==> engine bench artifact validation"
-python3 - <<'EOF'
-import json
-bench = json.load(open("BENCH_engine.json"))
+python3 - "$bench_dir/BENCH_engine.json" <<'EOF'
+import json, sys
+bench = json.load(open(sys.argv[1]))
 assert bench["name"] == "kernels_microbench", "wrong bench artifact"
 assert bench["smoke"] is True, "smoke run must be marked as such"
 assert bench["sizes"], "no sizes measured"

@@ -525,4 +525,31 @@ mod tests {
         assert_eq!(svc.purge_vc(VcId(0)), 2);
         assert_eq!(svc.available_views(), 1);
     }
+
+    #[test]
+    fn build_locks_are_exclusive_across_handles() {
+        let svc = enabled_service();
+        let sig = Sig128(7);
+        assert!(svc.locker().try_acquire(sig), "first claim wins the creation lock");
+        assert!(!svc.locker().try_acquire(sig), "second claim must be refused");
+        svc.release_lock(sig);
+        assert!(svc.locker().try_acquire(sig), "released lock is claimable again");
+    }
+
+    #[test]
+    fn concurrent_claims_grant_exactly_one_winner() {
+        let svc = enabled_service();
+        let winners = std::sync::atomic::AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                let (svc, winners) = (&svc, &winners);
+                s.spawn(move || {
+                    if svc.locker().try_acquire(Sig128(42)) {
+                        winners.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        assert_eq!(winners.load(std::sync::atomic::Ordering::Relaxed), 1);
+    }
 }

@@ -23,7 +23,6 @@
 
 pub mod annotations;
 pub mod candidates;
-pub mod concurrent;
 pub mod controls;
 pub mod impact;
 pub mod insights;
@@ -31,7 +30,6 @@ pub mod repository;
 pub mod selection;
 
 pub use candidates::{build_problem, SelectionProblem, ViewCandidate};
-pub use concurrent::SharedInsights;
 pub use controls::{Controls, DeploymentMode};
 pub use impact::{direct_comparison, p75_method, ImpactSummary};
 pub use insights::InsightsService;

@@ -52,10 +52,6 @@ pub struct QueryEngine {
     /// Morsel runner shared by every execution; serial unless the service
     /// layer plugs in its pool-backed runner.
     pub runner: Arc<dyn MorselRunner>,
-    /// Operator-state cache shared by every execution, if configured.
-    /// Callers needing per-job attribution (cross-job hit accounting) pass a
-    /// tagged source to [`QueryEngine::execute_with_states`] instead.
-    pub op_states: Option<Arc<dyn OpStateSource>>,
 }
 
 impl Default for QueryEngine {
@@ -77,7 +73,6 @@ impl QueryEngine {
             optimizer: Optimizer::new(cfg),
             chunk_size: cv_data::chunk::DEFAULT_CHUNK_SIZE,
             runner: Arc::new(SerialRunner),
-            op_states: None,
         }
     }
 
@@ -114,45 +109,21 @@ impl QueryEngine {
     }
 
     /// Execute against an external view source instead of the engine's own
-    /// store — the service path, where many concurrent jobs share one
-    /// sharded store (or pipeline from in-flight builds).
+    /// store — the drivers' path, where every job reads one shared store.
     pub fn execute_with(
         &self,
         physical: &PhysicalPlan,
         views: &dyn ViewSource,
         now: SimTime,
     ) -> Result<ExecOutcome> {
-        self.execute_with_sink(physical, views, now, None, None)
+        self.execute_with_states(physical, views, now, None, None, None)
     }
 
-    /// [`Self::execute_with`] plus per-operator observability hooks.
-    pub fn execute_with_obs(
-        &self,
-        physical: &PhysicalPlan,
-        views: &dyn ViewSource,
-        now: SimTime,
-        obs: Option<&dyn crate::obs::ObsSink>,
-    ) -> Result<ExecOutcome> {
-        self.execute_with_sink(physical, views, now, obs, None)
-    }
-
-    /// Full-control execution entry: observability hooks plus a spool sink
-    /// receiving sealed view chunks as they are produced (single-flight
-    /// chunk pipelining).
-    pub fn execute_with_sink(
-        &self,
-        physical: &PhysicalPlan,
-        views: &dyn ViewSource,
-        now: SimTime,
-        obs: Option<&dyn crate::obs::ObsSink>,
-        spool_sink: Option<&dyn SpoolSink>,
-    ) -> Result<ExecOutcome> {
-        self.execute_with_states(physical, views, now, obs, spool_sink, self.op_states.as_deref())
-    }
-
-    /// [`Self::execute_with_sink`] with an explicit operator-state source
-    /// overriding the engine-level one — the service path wraps the shared
-    /// cache in a per-job tag so hits can be attributed across jobs.
+    /// Full-control execution entry: per-operator observability hooks, a
+    /// spool sink receiving sealed view chunks as they are produced
+    /// (single-flight chunk pipelining), and an operator-state source —
+    /// the drivers wrap the shared cache in a per-job tag so hits can be
+    /// attributed across jobs.
     pub fn execute_with_states(
         &self,
         physical: &PhysicalPlan,

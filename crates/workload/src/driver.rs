@@ -1,55 +1,49 @@
-//! The multi-day workload driver: replays the paper's deployment window.
+//! The sequential workload driver: replays the paper's deployment window
+//! one job at a time, with the cluster simulator advancing inline.
 //!
-//! Each simulated day:
+//! The steps every job takes in both drivers — ingest, admission, commit,
+//! cooked-output publish, view announce, analysis and the run roll-up —
+//! live in [`crate::lifecycle`]. What this driver adds is its runner and
+//! the behaviour only it has (DESIGN.md §9):
 //!
-//! 1. **Ingestion** — raw datasets due for regeneration are bulk-updated
-//!    (fresh GUIDs; strict signatures of yesterday's views go stale).
-//! 2. **Jobs** — due templates are processed in submission order. For each:
-//!    the cluster simulator is advanced to the submission instant (sealing
-//!    any views whose producing stages completed — *early sealing*), expired
-//!    views are evicted, the job is compiled with the insights-service
-//!    annotations, optimized (view match + build under the creation lock),
-//!    executed, logged into the workload repository, and handed to the
-//!    simulator as a stage DAG.
-//! 3. **Analysis** — on the configured cadence the trailing repository
-//!    window is analyzed, view selection runs (optionally schedule-aware
-//!    and/or per-VC) and the new selection is published to the insights
-//!    service — the paper's feedback loop.
-//! 4. Optional **GDPR** forget-requests rotate an input GUID and purge every
-//!    view derived from it (§4).
+//! * **Early sealing.** Before each job the inline [`ClusterSim`] advances
+//!   to the submission instant; every `ViewSealed` event seals its view at
+//!   the producing stage's finish time and announces it at once, so a job
+//!   submitted minutes later can already reuse it (paper §2.3).
+//! * **Per-job eviction** of expired views, in the store and the serving
+//!   index.
+//! * **Residency-aware costing.** Views whose pages are not in the buffer
+//!   pool pay the cold-read multiplier at compile time.
+//! * **Incremental maintenance** (`IvmMode::Maintain`): tracked recurring
+//!   templates are advanced from yesterday's state instead of re-executed.
+//! * **Crash retry.** A simulated store crash is absorbed once per
+//!   mutation by recovering the store in place.
 //!
 //! A baseline run (`cloudviews: None`) executes the identical workload with
 //! annotations disabled — the pre-production methodology behind Table 1.
 
 use crate::generator::Workload;
-use crate::schemas::raw_specs;
+use crate::lifecycle::{digest_table, due_jobs, report_json, Executed, Lifecycle, SealedView};
 use crate::templates::JobTemplate;
-use cv_cluster::metrics::{DataPlane, JobRecord, MetricsLedger, RobustnessStats};
-use cv_cluster::sim::{ClusterConfig, ClusterSim, JobSpec, SimEvent};
-use cv_cluster::stage::build_stages;
-use cv_common::hash::{Sig128, StableHasher};
-use cv_common::ids::{JobId, VcId};
-use cv_common::json::{Json, ToJson};
-use cv_common::rng::DetRng;
-use cv_common::{json, FaultPlan, Result, SimDay, SimDuration, SimTime};
+use cv_cluster::metrics::{MetricsLedger, RobustnessStats};
+use cv_cluster::sim::{ClusterConfig, ClusterSim, SimEvent};
+use cv_cluster::stage::{build_stages, StageGraph};
+use cv_common::hash::Sig128;
+use cv_common::ids::{JobId, VcId, VersionGuid};
+use cv_common::json::Json;
+use cv_common::{json, FaultPlan, Result, SimDay, SimDuration};
 use cv_core::controls::Controls;
-use cv_core::insights::{InsightsService, UsageEvent, ViewInfo};
+use cv_core::insights::UsageEvent;
 use cv_core::repository::{JobMeta, SubexpressionRepo};
-use cv_core::selection::{
-    apply_schedule_awareness, select_per_vc, ExactSelector, GreedySelector,
-    LabelPropagationSelector, SelectionConstraints, ViewSelector,
-};
 use cv_data::sharded::ShardedViewStore;
 use cv_data::store_api::{SharedViewStore, StoreIoStats};
-use cv_data::value::Value;
 use cv_data::viewstore::ViewStoreStats;
 use cv_engine::engine::QueryEngine;
-use cv_engine::exec::PendingView;
-use cv_engine::optimizer::{AlwaysGrant, OptimizerConfig, ReuseContext};
+use cv_engine::exec::{ExecOutcome, OpStateSource, PendingView};
+use cv_engine::optimizer::{AlwaysGrant, OptimizeOutcome, OptimizerConfig, ReuseContext};
 use cv_engine::plan::LogicalPlan;
-use cv_engine::signature::{plan_signature, template_signature, SigMode};
+use cv_engine::signature::{plan_signature, SigMode, SubexprInfo};
 use cv_ivm::{IvmEngine, IvmStats, Maintain};
-use cv_service::{OpStateCache, TaggedOpStates};
 use cv_store::{DurableStoreOptions, DurableViewStore};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -220,44 +214,16 @@ pub struct DriverOutcome {
 }
 
 impl DriverOutcome {
-    /// The run's JSON report (the shape `BENCH_*.json` trajectories track):
-    /// headline totals plus the robustness counters.
+    /// The run's JSON report: headline totals, robustness counters, the
+    /// store section and the IVM counters.
     pub fn report_json(&self) -> Json {
-        let totals = self.ledger.totals();
-        json!({
-            "jobs": totals.jobs,
-            "failed_jobs": self.failed_jobs,
-            "latency_seconds": totals.latency_seconds,
-            "processing_seconds": totals.processing_seconds,
-            "bonus_seconds": totals.bonus_seconds,
-            "containers": totals.containers,
-            "input_bytes": totals.input_bytes,
-            "views_built": totals.views_built,
-            "views_reused": totals.views_reused,
-            "views_reused_exact": totals.views_reused - totals.views_reused_semantic,
-            "views_reused_semantic": totals.views_reused_semantic,
-            "robustness": self.robustness.to_json(),
-            "store": match &self.store_io {
-                Some(io) => json!({
-                    "page_cache_hits": io.page_cache_hits,
-                    "page_cache_misses": io.page_cache_misses,
-                    "page_cache_hit_rate": io.page_cache_hit_rate(),
-                    "pages_evicted": io.pages_evicted,
-                    "wal_fsyncs": io.wal_fsyncs,
-                    "wal_records_written": io.wal_records_written,
-                    "wal_records_replayed": io.wal_records_replayed,
-                    "wal_records_skipped": io.wal_records_skipped,
-                    "recoveries": io.recoveries,
-                    "checkpoints": io.checkpoints,
-                    "bytes_written_durably": io.bytes_written_durably,
-                }),
-                None => Json::Null,
-            },
-            "ivm": match &self.ivm {
-                Some(s) => ivm_stats_json(s),
-                None => Json::Null,
-            },
-        })
+        report_json(
+            &self.ledger,
+            self.failed_jobs,
+            &self.robustness,
+            self.store_io.as_ref(),
+            ("ivm", self.ivm.as_ref().map_or(Json::Null, ivm_stats_json)),
+        )
     }
 }
 
@@ -284,152 +250,39 @@ pub fn ivm_stats_json(s: &IvmStats) -> Json {
     })
 }
 
+/// A view built by an executed job, waiting for the simulator's seal event.
 struct PendingSeal {
     view: PendingView,
     job: JobId,
     vc: VcId,
-    /// The view's defining (normalized, view-free) logical plan, captured
-    /// at build time so the sealed view can be served for semantic
-    /// matching, not just exact-signature lookup.
-    plan: Option<std::sync::Arc<cv_engine::plan::LogicalPlan>>,
+    /// The view's defining plan, captured at build time (see
+    /// [`SealedView::plan`]).
+    plan: Option<Arc<LogicalPlan>>,
 }
 
 /// Run a workload under the given configuration.
 pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOutcome> {
-    let enabled = cfg.cloudviews.is_some();
-    let mut engine = QueryEngine::with_config(cfg.optimizer.clone());
-    engine.chunk_size = cfg.chunk_size.max(1);
-    let analyzer = std::sync::Arc::new(cv_analyzer::Analyzer::new(&cfg.optimizer));
-    // The analyzer is always the containment prover: semantic (widened)
-    // view matches only happen when it certifies them.
-    engine.optimizer.set_prover(analyzer.clone());
-    if cfg.optimizer.verify_plans {
-        // Audit every optimized plan; a corrupted rewrite fails the job
-        // with a CV0xx diagnostic instead of sealing bad results.
-        engine.optimizer.set_verifier(analyzer);
-    }
-    // All view traffic goes through this store; the engine's own store
-    // stays empty. A durable directory that already holds views recovers
-    // whatever a previous (or crashed) run left behind.
+    // A durable directory that already holds views recovers whatever a
+    // previous (or crashed) run left behind.
     let store = cfg.store.open(cfg.view_ttl)?;
-    let store: &dyn SharedViewStore = &*store;
-    store.set_fault_plan(cfg.faults.clone());
-    let mut insights = InsightsService::new(cfg.controls.clone());
+    let mut core = Lifecycle::new(workload, cfg, &*store, true);
     let mut sim = ClusterSim::new(cfg.cluster.clone());
     sim.set_fault_plan(cfg.faults.clone());
-    let mut repo = SubexpressionRepo::new();
-    let mut data_plane: HashMap<JobId, DataPlane> = HashMap::new();
-    let mut pending_seals: HashMap<Sig128, PendingSeal> = HashMap::new();
-    let mut result_digests = BTreeMap::new();
-    let mut selection_history = Vec::new();
-    let mut failed_jobs = 0u64;
-    let mut gdpr_purged_views = 0u64;
-    let mut next_job = 0u64;
-    let mut robustness = RobustnessStats::default();
-    let ivm_ingest = cfg.ivm != IvmMode::Off;
-    let mut ivm: Option<IvmEngine> =
-        (cfg.ivm == IvmMode::Maintain).then(|| IvmEngine::new(&cfg.optimizer));
-    // Operator-state cache: recurring jobs on later days skip rebuilding
-    // breaker state whose inputs didn't rotate.
-    let op_states: Option<Arc<OpStateCache>> = (cfg.op_state_budget_bytes > 0)
-        .then(|| Arc::new(OpStateCache::with_budget(cfg.op_state_budget_bytes)));
-    if let Some(cache) = &op_states {
-        engine.optimizer.set_warm_states(cache.clone());
-    }
+    let mut pending: HashMap<Sig128, PendingSeal> = HashMap::new();
+    let mut ivm = (cfg.ivm == IvmMode::Maintain).then(|| IvmEngine::new(&cfg.optimizer));
 
-    let specs = raw_specs();
+    for day in (0..cfg.days).map(SimDay) {
+        apply_seal_events(&mut core, &sim.run_until(day.start()), &mut pending)?;
+        core.start_day(day, None)?;
 
-    for day_idx in 0..cfg.days {
-        let day = SimDay(day_idx);
-        let day_start = day.start();
-        process_sim_events(
-            &mut sim,
-            day_start,
-            &mut pending_seals,
-            &mut engine,
-            &mut insights,
-            cfg.view_ttl,
-            store,
-            &mut robustness,
-        )?;
-
-        // 1. Ingestion: bulk-regenerate due raw datasets.
-        for spec in &specs {
-            if day_idx % spec.update_every_days != 0 {
-                continue;
-            }
-            let mut rng = data_rng(workload.config.seed, spec.name, day);
-            match engine.catalog.id_of(spec.name) {
-                Some(id) if ivm_ingest => {
-                    // Delta-producing regeneration: facts append the day's
-                    // rows, dimensions churn in place, and the catalog
-                    // records the signed change feed for maintenance.
-                    let prev = engine.catalog.get(id)?.data().clone();
-                    let (table, delta) =
-                        spec.generate_delta(&mut rng, workload.config.scale, day, &prev);
-                    engine.catalog.bulk_update_delta(id, table, delta, day_start)?;
-                }
-                Some(id) => {
-                    let table = spec.generate(&mut rng, workload.config.scale, day);
-                    engine.catalog.bulk_update(id, table, day_start)?;
-                }
-                None => {
-                    let table = spec.generate(&mut rng, workload.config.scale, day);
-                    engine.catalog.register(spec.name, table, day_start)?;
-                }
-            }
-        }
-
-        // Optional GDPR forget-request (rotates the `users` GUID).
-        if let Some(every) = cfg.gdpr_every_days {
-            if day_idx > 0 && day_idx % every == 0 {
-                gdpr_purged_views += apply_gdpr(
-                    &mut engine,
-                    store,
-                    &mut insights,
-                    op_states.as_deref(),
-                    workload.config.seed,
-                    day,
-                    Some(&mut robustness),
-                )? as u64;
-            }
-        }
-
-        // 2. Jobs, in submission order.
-        let mut due: Vec<&JobTemplate> =
-            workload.templates.iter().filter(|t| t.due_on(day)).collect();
-        due.sort_by(|a, b| {
-            a.submit_time(day)
-                .seconds()
-                .total_cmp(&b.submit_time(day).seconds())
-                .then(a.id.cmp(&b.id))
-        });
-
-        for template in due {
+        for template in due_jobs(workload, day) {
+            // Advance the simulator to the submission instant, sealing any
+            // views whose producing stages completed (early sealing).
             let submit = template.submit_time(day);
-            process_sim_events(
-                &mut sim,
-                submit,
-                &mut pending_seals,
-                &mut engine,
-                &mut insights,
-                cfg.view_ttl,
-                store,
-                &mut robustness,
-            )?;
-            with_crash_retry(store, Some(&mut robustness), |s| s.evict_expired(submit))?;
-            insights.expire(submit);
-
-            let job = JobId(next_job);
-            next_job += 1;
-            let meta = JobMeta {
-                job,
-                template: template.id,
-                pipeline: template.pipeline,
-                vc: template.vc,
-                user: template.user,
-                submit,
-            };
+            apply_seal_events(&mut core, &sim.run_until(submit), &mut pending)?;
+            core.retry(|s| s.evict_expired(submit))?;
+            core.insights.expire(submit);
+            let meta = core.admit(template, day);
 
             // Incremental maintenance: a tracked recurring template whose
             // inputs changed only through intact delta chains is advanced
@@ -437,220 +290,120 @@ pub fn run_workload(workload: &Workload, cfg: &DriverConfig) -> Result<DriverOut
             // (broken chain, plan drift, costed out) drop through to the
             // normal execution path below and re-track afterwards.
             if let Some(iv) = ivm.as_mut() {
-                match try_ivm_maintain(
-                    iv,
-                    &mut engine,
-                    &mut insights,
-                    template,
-                    day,
-                    job,
-                    enabled,
-                    cfg.view_ttl,
-                    store,
-                    &mut robustness,
-                ) {
+                match try_ivm_maintain(iv, &mut core, template, day, meta.job) {
                     Ok(Some(digest)) => {
-                        result_digests.insert(job, digest);
+                        core.result_digests.insert(meta.job, digest);
                         continue;
                     }
                     Ok(None) => {}
                     Err(_) => {
-                        failed_jobs += 1;
+                        core.failed_jobs += 1;
                         continue;
                     }
                 }
             }
 
-            // Metadata repository outage: the annotation service is
-            // unreachable, so the optimizer degrades to a baseline
-            // no-reuse plan for this job (graceful degradation — the job
-            // must still run, just without CloudViews).
-            let metadata_down = enabled && cfg.faults.metadata_down(submit);
-            if metadata_down {
-                robustness.metadata_outage_jobs += 1;
-            }
-
-            // Per-job tag on the shared cache so hits against another
-            // job's published state count as cross-job reuse.
-            if let Some(cache) = &op_states {
-                engine.op_states = Some(Arc::new(TaggedOpStates::new(cache.clone(), job.0)));
-            }
-            let run = run_one_job(
-                &mut engine,
-                &mut insights,
-                template,
-                day,
+            let use_cv = core.use_cloudviews(submit);
+            let Ok(one) = run_one_job(&mut core, template, day, meta, use_cv) else {
+                core.failed_jobs += 1;
+                continue;
+            };
+            let spec = core.commit(Executed {
                 meta,
-                enabled && !metadata_down,
-                store,
-                ivm_ingest,
-            );
-            match run {
-                Ok(one) => {
-                    repo.log_job(meta, &one.subexprs, Some(&one.profiles));
-                    result_digests.insert(job, one.digest);
-                    // Start (or resume) maintaining this template's view:
-                    // the CV07x gate refuses non-maintainable plans and the
-                    // refusal is counted, exactly like CV06x vetoes.
-                    if let Some(iv) = ivm.as_mut() {
-                        ivm_track(iv, &engine, template, day);
-                    }
-                    // Any read-side fault quarantines the signature in both
-                    // the store and the serving index for the rest of the
-                    // run: the engine recomputes instead of retrying a bad
-                    // artifact.
-                    for sig in &one.quarantined_sigs {
-                        with_crash_retry(store, Some(&mut robustness), |s| s.quarantine(*sig))?;
-                        insights.quarantine(*sig);
-                    }
-                    // Quarantine coupling: cached breaker states derived
-                    // from a quarantined view are dropped too.
-                    if let Some(cache) = &op_states {
-                        if !one.quarantined_sigs.is_empty() {
-                            cache.purge_sigs(&one.quarantined_sigs);
-                        }
-                    }
-                    robustness.fallbacks_recompute += one.data_plane.fallbacks_recompute;
-                    robustness.view_read_failures += one.view_read_failures;
-                    robustness.view_corruptions += one.view_corruptions;
-                    robustness.view_expiry_races += one.view_expiry_races;
-                    data_plane.insert(job, one.data_plane);
-                    let mut built_plans: HashMap<_, _> = one.built_plans.into_iter().collect();
-                    for pv in one.pending_views {
-                        let plan = built_plans.remove(&pv.sig);
-                        pending_seals
-                            .insert(pv.sig, PendingSeal { view: pv, job, vc: template.vc, plan });
-                    }
-                    sim.submit(JobSpec {
-                        job,
-                        vc: template.vc,
-                        template: template.id,
-                        submit,
-                        stages: one.stages,
-                    })?;
-                }
-                Err(_) => {
-                    failed_jobs += 1;
-                }
+                use_cv,
+                subexprs: &one.subexprs,
+                exec: &one.exec,
+                matched: &one.outcome.matched_views,
+                compensated: one.outcome.compensated_views.len(),
+                built: one.outcome.built_views.len(),
+                stages: one.stages,
+            })?;
+            // Start (or resume) maintaining this template's view: the CV07x
+            // gate refuses non-maintainable plans and the refusal is
+            // counted, exactly like CV06x vetoes.
+            if let Some(iv) = ivm.as_mut() {
+                ivm_track(iv, &core.engine, template, day);
             }
+            let mut built_plans: HashMap<_, _> = one.outcome.built_plans.into_iter().collect();
+            for pv in one.exec.pending_views {
+                let plan = built_plans.remove(&pv.sig);
+                pending.insert(pv.sig, PendingSeal { view: pv, job: meta.job, vc: meta.vc, plan });
+            }
+            sim.submit(spec)?;
         }
 
-        // 3. Workload analysis + selection publish.
-        if let Some(knobs) = &cfg.cloudviews {
-            if (day_idx + 1) % knobs.analysis_every_days == 0 {
-                let n = run_analysis(&repo, &mut insights, knobs, day, &cfg.cluster);
-                selection_history.push((day, n));
-            }
-        }
+        core.analyze(day, None);
     }
 
     // Drain the simulator.
-    let final_events = sim.run_to_completion();
-    apply_seal_events(
-        &final_events,
-        &mut pending_seals,
-        &mut engine,
-        &mut insights,
-        cfg.view_ttl,
-        store,
-        &mut robustness,
-    )?;
-
-    // Assemble the ledger.
-    let mut ledger = MetricsLedger::new();
-    for result in sim.results() {
-        robustness.stage_retries += result.stage_retries as u64;
-        robustness.preemptions += result.preemptions as u64;
-        robustness.backoff_seconds += result.backoff_seconds;
-        robustness.job_restarts += result.restarts as u64;
-        let data = data_plane.remove(&result.job).unwrap_or_default();
-        ledger.add(JobRecord { result: result.clone(), data });
-    }
+    apply_seal_events(&mut core, &sim.run_to_completion(), &mut pending)?;
     // Final checkpoint: a later run reopening the directory recovers from
     // the checkpoint instead of a long WAL replay.
-    with_crash_retry(store, Some(&mut robustness), |s| s.checkpoint_now())?;
-    let store_io = store.io_stats();
-    if let Some(io) = &store_io {
-        robustness.store_recoveries += io.recoveries;
-        robustness.wal_records_replayed += io.wal_records_replayed;
-        robustness.wal_records_skipped += io.wal_records_skipped;
-    }
-    let store_stats = store.stats();
-    robustness.view_write_failures = store_stats.write_failures;
-    robustness.views_quarantined = store_stats.views_quarantined;
-
+    core.retry(|s| s.checkpoint_now())?;
+    let end = core.finish(&sim);
     Ok(DriverOutcome {
-        ledger,
-        repo,
-        usage: insights.usage_log().to_vec(),
-        view_store_stats: store_stats,
-        result_digests,
-        failed_jobs,
-        selection_history,
-        gdpr_purged_views,
-        robustness,
-        store_io,
+        ledger: end.ledger,
+        repo: end.repo,
+        usage: end.usage,
+        view_store_stats: end.view_store_stats,
+        result_digests: end.result_digests,
+        failed_jobs: end.failed_jobs,
+        selection_history: end.selection_history,
+        gdpr_purged_views: end.gdpr_purged_views,
+        robustness: end.robustness,
+        store_io: end.store_io,
         ivm: ivm.map(|iv| iv.stats),
-        op_state: op_states.map(|c| c.stats()),
+        op_state: end.op_state,
     })
 }
 
 /// Attempt to maintain a tracked view for `template`. Returns the result
 /// digest when the view was maintained (the job is done without
 /// executing); `None` falls through to normal execution.
-#[allow(clippy::too_many_arguments)]
 fn try_ivm_maintain(
     ivm: &mut IvmEngine,
-    engine: &mut QueryEngine,
-    insights: &mut InsightsService,
+    core: &mut Lifecycle<'_>,
     template: &JobTemplate,
     day: SimDay,
     job: JobId,
-    enabled: bool,
-    view_ttl: SimDuration,
-    store: &dyn SharedViewStore,
-    robustness: &mut RobustnessStats,
 ) -> Result<Option<Sig128>> {
-    let Ok(plan) = template.build_plan(engine, day) else {
+    let Ok(plan) = template.build_plan(&core.engine, day) else {
         return Ok(None);
     };
-    let Some(tsig) = plan_signature(&plan, &engine.optimizer.cfg.sig, SigMode::Recurring) else {
+    let sig_cfg = core.engine.optimizer.cfg.sig.clone();
+    let Some(tsig) = plan_signature(&plan, &sig_cfg, SigMode::Recurring) else {
         return Ok(None);
     };
     if !ivm.is_tracked(tsig) {
         return Ok(None);
     }
-    let mv = match ivm.maintain(tsig, &plan, &engine.catalog) {
+    let mv = match ivm.maintain(tsig, &plan, &core.engine.catalog) {
         Maintain::Maintained(mv) => mv,
         Maintain::NotTracked | Maintain::Rebuild { .. } => return Ok(None),
     };
     let submit = template.submit_time(day);
-    // A maintained cooking job still publishes its output dataset — as a
-    // diffed delta update, so downstream chains stay intact.
-    if let Some(output) = template.output_dataset() {
-        match engine.catalog.id_of(output) {
-            Some(id) => {
-                engine.catalog.bulk_update_diff(id, mv.table.clone(), submit)?;
-            }
-            None => {
-                engine.catalog.register(output, mv.table.clone(), submit)?;
-            }
-        }
-    }
+    // A maintained cooking job still publishes its output dataset.
+    core.publish_output(template.output_dataset(), &mv.table, submit)?;
     // Re-publish under today's strict signature so exact and containment
     // matching serve the maintained view exactly like a rebuilt one.
-    if enabled {
-        publish_maintained(
-            engine,
-            insights,
-            &mv,
-            job,
-            template.vc,
-            submit,
-            view_ttl,
-            store,
-            robustness,
-        )?;
+    if core.cfg.cloudviews.is_some() {
+        if let (Some(strict), Some(recurring)) = (
+            plan_signature(&mv.plan, &sig_cfg, SigMode::Strict),
+            plan_signature(&mv.plan, &sig_cfg, SigMode::Recurring),
+        ) {
+            let pv = PendingView {
+                sig: strict,
+                recurring_sig: recurring,
+                input_guids: scan_guids(&mv.plan),
+                schema: mv.table.schema().clone(),
+                data: mv.table.clone(),
+                production_work: mv.rows_touched as f64,
+                write_work: 0.0,
+            };
+            if core.seal(&pv, job, template.vc, submit)? {
+                core.announce(SealedView::new(&pv, job, template.vc, submit, Some(mv.plan)));
+            }
+        }
     }
     Ok(Some(digest_table(&mv.table)))
 }
@@ -669,57 +422,8 @@ fn ivm_track(ivm: &mut IvmEngine, engine: &QueryEngine, template: &JobTemplate, 
     let _ = ivm.track(tsig, &plan, &engine.catalog);
 }
 
-/// Seal a maintained view into the active store and advertise it to the
-/// insights service, mirroring the sealed-view path of an executed job.
-#[allow(clippy::too_many_arguments)]
-fn publish_maintained(
-    engine: &mut QueryEngine,
-    insights: &mut InsightsService,
-    mv: &cv_ivm::MaintainedView,
-    job: JobId,
-    vc: VcId,
-    submit: SimTime,
-    view_ttl: SimDuration,
-    store: &dyn SharedViewStore,
-    robustness: &mut RobustnessStats,
-) -> Result<()> {
-    let sig_cfg = engine.optimizer.cfg.sig.clone();
-    let (Some(strict), Some(recurring)) = (
-        plan_signature(&mv.plan, &sig_cfg, SigMode::Strict),
-        plan_signature(&mv.plan, &sig_cfg, SigMode::Recurring),
-    ) else {
-        return Ok(());
-    };
-    let pv = PendingView {
-        sig: strict,
-        recurring_sig: recurring,
-        input_guids: scan_guids(&mv.plan),
-        schema: mv.table.schema().clone(),
-        data: mv.table.clone(),
-        production_work: mv.rows_touched as f64,
-        write_work: 0.0,
-    };
-    if seal_view(store, &pv, job, vc, submit, Some(robustness))? {
-        insights.report_sealed(
-            ViewInfo {
-                strict,
-                recurring,
-                rows: mv.table.num_rows() as u64,
-                bytes: mv.table.byte_size(),
-                sealed_at: submit,
-                expires: submit + view_ttl,
-                vc,
-                template: template_signature(&mv.plan, &sig_cfg),
-                plan: Some(mv.plan.clone()),
-            },
-            job,
-        );
-    }
-    Ok(())
-}
-
-fn scan_guids(plan: &std::sync::Arc<LogicalPlan>) -> Vec<cv_common::ids::VersionGuid> {
-    fn go(p: &std::sync::Arc<LogicalPlan>, out: &mut Vec<cv_common::ids::VersionGuid>) {
+fn scan_guids(plan: &Arc<LogicalPlan>) -> Vec<VersionGuid> {
+    fn go(p: &Arc<LogicalPlan>, out: &mut Vec<VersionGuid>) {
         if let LogicalPlan::Scan { guid, .. } = &**p {
             out.push(*guid);
         }
@@ -732,302 +436,78 @@ fn scan_guids(plan: &std::sync::Arc<LogicalPlan>) -> Vec<cv_common::ids::Version
     v
 }
 
-/// Run a store mutation. With `crashes` set — the sequential driver only —
-/// one simulated crash ([`CvError::is_crash`](cv_common::CvError::is_crash))
-/// is absorbed: the store recovers in place (WAL + checkpoint replay) and
-/// the mutation is retried once. Replay is idempotent, so a retried
-/// mutation that already committed before the crash is a no-op.
-fn with_crash_retry<T>(
-    store: &dyn SharedViewStore,
-    crashes: Option<&mut RobustnessStats>,
-    op: impl Fn(&dyn SharedViewStore) -> Result<T>,
-) -> Result<T> {
-    match (op(store), crashes) {
-        (Err(e), Some(robustness)) if e.is_crash() => {
-            robustness.store_crashes += 1;
-            store.recover_in_place()?;
-            op(store)
-        }
-        (other, _) => other,
-    }
-}
-
-/// Seal one pending view (the job-manager step, at the producing stage's
-/// finish time under early sealing, paper §2.3) and report whether it
-/// landed. Both drivers seal through here. An injected write failure is
-/// absorbed — the half-materialized view is discarded, the job already
-/// succeeded — and the store drops a quarantined signature silently, so
-/// landing is re-checked with `contains`. Callers advertise only views
-/// that landed. `crashes` as in [`with_crash_retry`].
-pub(crate) fn seal_view(
-    store: &dyn SharedViewStore,
-    pv: &PendingView,
-    job: JobId,
-    vc: VcId,
-    now: SimTime,
-    crashes: Option<&mut RobustnessStats>,
-) -> Result<bool> {
-    match with_crash_retry(store, crashes, |s| s.insert(pv.to_view(job, vc, now))) {
-        Ok(()) => Ok(store.contains(pv.sig)),
-        Err(e) if e.is_fault() => Ok(false),
-        Err(e) => Err(e),
-    }
-}
-
-/// Deterministic per-(dataset, day) data stream, independent of everything
-/// else — baseline and enabled runs see byte-identical inputs.
-pub(crate) fn data_rng(seed: u64, dataset: &str, day: SimDay) -> DetRng {
-    let mut h = StableHasher::with_domain("workload-data");
-    h.write_u64(seed);
-    h.write_str(dataset);
-    h.write_u64(day.index() as u64);
-    DetRng::seed(h.finish64())
-}
-
 struct OneJob {
-    subexprs: Vec<cv_engine::signature::SubexprInfo>,
-    profiles: Vec<cv_engine::exec::OpProfile>,
-    pending_views: Vec<PendingView>,
-    built_plans: Vec<(Sig128, std::sync::Arc<cv_engine::plan::LogicalPlan>)>,
-    stages: cv_cluster::stage::StageGraph,
-    data_plane: DataPlane,
-    digest: Sig128,
-    quarantined_sigs: Vec<Sig128>,
-    view_read_failures: u64,
-    view_corruptions: u64,
-    view_expiry_races: u64,
+    subexprs: Vec<SubexprInfo>,
+    outcome: OptimizeOutcome,
+    exec: ExecOutcome,
+    stages: StageGraph,
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Compile, execute and publish one job.
 fn run_one_job(
-    engine: &mut QueryEngine,
-    insights: &mut InsightsService,
+    core: &mut Lifecycle<'_>,
     template: &JobTemplate,
     day: SimDay,
     meta: JobMeta,
-    enabled: bool,
-    store: &dyn SharedViewStore,
-    ivm_ingest: bool,
+    use_cv: bool,
 ) -> Result<OneJob> {
-    let plan = template.build_plan(engine, day)?;
-    let subexprs = engine.subexpressions(&plan)?;
-    let mut reuse = if enabled {
-        insights.annotate(meta.vc, meta.job, &subexprs, meta.submit).0
+    let plan = template.build_plan(&core.engine, day)?;
+    let subexprs = core.engine.subexpressions(&plan)?;
+    let mut reuse = if use_cv {
+        core.insights.annotate(meta.vc, meta.job, &subexprs, meta.submit).0
     } else {
         ReuseContext::empty()
     };
     // Residency-aware costing: views whose pages are not in the buffer
     // pool pay the cold-read multiplier in the optimizer's reuse-vs-
     // recompute comparison (an in-memory store is always resident).
-    for (sig, meta) in reuse.available.iter_mut() {
-        meta.cold = !store.is_resident(*sig);
+    for (sig, view) in reuse.available.iter_mut() {
+        view.cold = !core.store.is_resident(*sig);
     }
 
-    let compiled = if enabled {
-        let mut locker = insights.locker();
-        engine.optimize(&plan, &reuse, &mut locker)?
+    let compiled = if use_cv {
+        core.engine.optimize(&plan, &reuse, &mut core.insights.locker())?
     } else {
-        engine.optimize(&plan, &reuse, &mut AlwaysGrant)?
+        core.engine.optimize(&plan, &reuse, &mut AlwaysGrant)?
     };
-
-    let exec = match engine.execute_with(&compiled.outcome.physical, store, meta.submit) {
-        Ok(e) => e,
-        Err(e) => {
-            // Release any creation locks this job acquired before bailing.
-            for sig in &compiled.outcome.built_views {
-                insights.release_lock(*sig);
-            }
-            return Err(e);
-        }
-    };
-
-    if enabled && !compiled.outcome.matched_views.is_empty() {
-        insights.record_reuse(&compiled.outcome.matched_views, meta.job, meta.submit);
-    }
-
-    // Cooking jobs publish their output as a shared dataset. Under delta
-    // ingestion the update is diffed so views over cooked outputs keep an
-    // intact delta chain.
-    if let Some(output) = template.output_dataset() {
-        match engine.catalog.id_of(output) {
-            Some(id) if ivm_ingest => {
-                engine.catalog.bulk_update_diff(id, exec.table.clone(), meta.submit)?;
-            }
-            Some(id) => {
-                engine.catalog.bulk_update(id, exec.table.clone(), meta.submit)?;
-            }
-            None => {
-                engine.catalog.register(output, exec.table.clone(), meta.submit)?;
-            }
-        }
-    }
-
+    let built = &compiled.outcome.built_views;
+    let states = core.op_states_for(meta.job);
+    let exec = core
+        .engine
+        .execute_with_states(
+            &compiled.outcome.physical,
+            core.store,
+            meta.submit,
+            None,
+            None,
+            states.as_ref().map(|t| t as &dyn OpStateSource),
+        )
+        .inspect_err(|_| core.release_locks(built.iter().copied()))?;
+    core.publish_output(template.output_dataset(), &exec.table, meta.submit)?;
     let stages = build_stages(&compiled.outcome.physical, &exec.metrics.op_profiles)?;
-    let data_plane = DataPlane::from_exec(
-        &exec.metrics,
-        compiled.outcome.matched_views.len(),
-        compiled.outcome.compensated_views.len(),
-        compiled.outcome.built_views.len(),
-    );
-    let digest = digest_table(&exec.table);
-
-    Ok(OneJob {
-        subexprs,
-        profiles: exec.metrics.op_profiles.clone(),
-        pending_views: exec.pending_views,
-        built_plans: compiled.outcome.built_plans,
-        stages,
-        data_plane,
-        digest,
-        quarantined_sigs: exec.metrics.quarantined_sigs.clone(),
-        view_read_failures: exec.metrics.view_read_failures,
-        view_corruptions: exec.metrics.view_corruptions,
-        view_expiry_races: exec.metrics.view_expiry_races,
-    })
+    Ok(OneJob { subexprs, outcome: compiled.outcome, exec, stages })
 }
 
-pub(crate) fn digest_table(t: &cv_data::table::Table) -> Sig128 {
-    let mut h = StableHasher::with_domain("result-digest");
-    for row in t.canonical_rows() {
-        h.write_str(&row);
-    }
-    h.finish128()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn process_sim_events(
-    sim: &mut ClusterSim,
-    until: SimTime,
-    pending: &mut HashMap<Sig128, PendingSeal>,
-    engine: &mut QueryEngine,
-    insights: &mut InsightsService,
-    ttl: SimDuration,
-    store: &dyn SharedViewStore,
-    robustness: &mut RobustnessStats,
-) -> Result<()> {
-    let events = sim.run_until(until);
-    apply_seal_events(&events, pending, engine, insights, ttl, store, robustness)
-}
-
-#[allow(clippy::too_many_arguments)]
+/// Seal the pending views whose producing stages completed in `events`
+/// (early sealing) and announce each one that landed.
 fn apply_seal_events(
+    core: &mut Lifecycle<'_>,
     events: &[SimEvent],
     pending: &mut HashMap<Sig128, PendingSeal>,
-    engine: &mut QueryEngine,
-    insights: &mut InsightsService,
-    ttl: SimDuration,
-    store: &dyn SharedViewStore,
-    robustness: &mut RobustnessStats,
 ) -> Result<()> {
     for ev in events {
         if let SimEvent::ViewSealed { sig, at, .. } = ev {
             let Some(seal) = pending.remove(sig) else { continue };
-            if !seal_view(store, &seal.view, seal.job, seal.vc, *at, Some(&mut *robustness))? {
+            if core.seal(&seal.view, seal.job, seal.vc, *at)? {
+                core.announce(SealedView::new(&seal.view, seal.job, seal.vc, *at, seal.plan));
+            } else {
                 // Injected write failure: the half-materialized view was
-                // discarded and must never be advertised — release the
-                // creation lock so a later job can rebuild it.
-                insights.release_lock(seal.view.sig);
-                continue;
+                // discarded and must never be advertised.
+                core.release_locks([seal.view.sig]);
             }
-            let template = seal.plan.as_ref().and_then(|p| {
-                cv_engine::signature::template_signature(p, &engine.optimizer.cfg.sig)
-            });
-            insights.report_sealed(
-                ViewInfo {
-                    strict: seal.view.sig,
-                    recurring: seal.view.recurring_sig,
-                    rows: seal.view.data.num_rows() as u64,
-                    bytes: seal.view.data.byte_size(),
-                    sealed_at: *at,
-                    expires: *at + ttl,
-                    vc: seal.vc,
-                    template,
-                    plan: seal.plan.clone(),
-                },
-                seal.job,
-            );
         }
     }
     Ok(())
-}
-
-pub(crate) fn run_analysis(
-    repo: &SubexpressionRepo,
-    insights: &mut InsightsService,
-    knobs: &SelectionKnobs,
-    day: SimDay,
-    cluster: &ClusterConfig,
-) -> usize {
-    let from = SimDay(day.index().saturating_sub(knobs.analysis_window_days - 1));
-    let window = repo.window(from, SimDay(day.index() + 1));
-    let mut problem = cv_core::build_problem(&window, knobs.min_frequency);
-    if knobs.schedule_aware {
-        problem = apply_schedule_awareness(
-            &problem,
-            cluster.default_vc_guaranteed as f64 * cluster.container_speed,
-            SimDuration::from_secs(60.0),
-        );
-    }
-    let constraints = SelectionConstraints {
-        storage_budget_bytes: knobs.storage_budget_bytes,
-        max_views: knobs.max_views,
-        min_utility: 0.0,
-    };
-    let selector: Box<dyn ViewSelector> = match knobs.selector {
-        SelectorKind::LabelPropagation => Box::new(LabelPropagationSelector::default()),
-        SelectorKind::Greedy => Box::new(GreedySelector),
-        SelectorKind::Exact => Box::new(ExactSelector { max_candidates: 24 }),
-    };
-    insights.reset_selection();
-    if knobs.per_vc {
-        let (_, per_vc) = select_per_vc(selector.as_ref(), &problem, &HashMap::new(), &constraints);
-        let mut total = 0;
-        for (vc, sel) in per_vc {
-            total += sel.len();
-            insights.publish_selection(Some(vc), sel.chosen);
-        }
-        total
-    } else {
-        let selection = selector.select(&problem, &constraints);
-        let n = selection.len();
-        insights.publish_selection(None, selection.chosen);
-        n
-    }
-}
-
-/// Apply one GDPR forget-request: pick a deterministic user id, delete it
-/// from `users`, rotate the GUID, and purge every view derived from the
-/// retired version from the store, the serving index and the
-/// operator-state cache (§4). Both drivers purge through here; `crashes`
-/// as in [`with_crash_retry`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_gdpr(
-    engine: &mut QueryEngine,
-    store: &dyn SharedViewStore,
-    insights: &mut InsightsService,
-    op_states: Option<&OpStateCache>,
-    seed: u64,
-    day: SimDay,
-    crashes: Option<&mut RobustnessStats>,
-) -> Result<usize> {
-    let Some(id) = engine.catalog.id_of("users") else {
-        return Ok(0);
-    };
-    let mut rng = data_rng(seed, "gdpr", day);
-    let victim = rng.range_i64(0, 40);
-    let outcome = engine.catalog.gdpr_forget(id, "u_id", &Value::Int(victim), day.start())?;
-    let stale = store.sigs_with_input(outcome.old_guid);
-    let purged =
-        with_crash_retry(store, crashes, |s| s.purge_input(outcome.old_guid, day.start()))?;
-    insights.purge_sigs(&stale);
-    // Operator-state coupling: the rotated guid already invalidates the
-    // keys, but eager purge frees the budget and drops any state whose
-    // bytes were derived from the forgotten rows.
-    if let Some(cache) = op_states {
-        cache.purge_input("users");
-        cache.purge_sigs(&stale);
-    }
-    Ok(purged)
 }
 
 #[cfg(test)]

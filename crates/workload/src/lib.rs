@@ -21,6 +21,7 @@
 
 pub mod driver;
 pub mod generator;
+mod lifecycle;
 pub mod morsel_bench;
 pub mod schemas;
 pub mod service_driver;

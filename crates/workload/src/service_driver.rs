@@ -3,9 +3,16 @@
 //! The sequential [`crate::driver`] replays one job at a time; this driver
 //! replays the same workload the way the paper's production service runs it
 //! (§2.1): many jobs from many virtual clusters execute *concurrently*
-//! against shared reuse state — a sharded view store, a mutex-guarded
-//! insights service, and the single-flight materialization registry that
-//! turns Fig. 9's concurrent-duplicate opportunity into realized savings.
+//! against shared reuse state — a sharded view store, the insights service,
+//! and the single-flight materialization registry that turns Fig. 9's
+//! concurrent-duplicate opportunity into realized savings.
+//!
+//! The steps every job takes in both drivers — ingest, admission, commit,
+//! cooked-output publish, view announce, analysis and the run roll-up —
+//! live in [`crate::lifecycle`]. This module is the service's runner plus
+//! what only it does: waves, single-flight promises and claims, the epoch
+//! index, pool execution, the day-end announce, and the `(submit, job)`
+//! ordered cluster replay.
 //!
 //! # The three-phase wave protocol
 //!
@@ -22,10 +29,12 @@
 //!    plan; dependency gating holds consumers until their builders finish,
 //!    so pipelined reads hit a sealed view, never a blocked wait (the
 //!    single-flight `wait` remains as safety net). Builders seal into the
-//!    shared store immediately and resolve their flights.
-//! 3. **Commit (sequential, job order)** — log to the repository, digest
-//!    results, propagate quarantines, attribute realized pipelining
-//!    savings, publish cooking outputs to the catalog.
+//!    shared store immediately and resolve their flights. Pool tasks touch
+//!    only the engine, the store and the flight registry — never the
+//!    insights service.
+//! 3. **Commit (sequential, job order)** — the shared commit, then realized
+//!    pipelining savings, the cooked-output publish, and the day's sealed
+//!    views queued for the day-end announce.
 //!
 //! Because every phase that touches shared metadata is sequential in job
 //! order and execution itself is deterministic per plan, the per-job result
@@ -37,21 +46,20 @@
 //! `(submit, job)` before feeding the simulator — concurrent completion
 //! order can never leak into the metrics (the monotonic-submission fix).
 
-use crate::driver::{apply_gdpr, data_rng, digest_table, run_analysis, seal_view, DriverConfig};
+use crate::driver::{DriverConfig, IvmMode};
 use crate::generator::Workload;
-use crate::schemas::raw_specs;
+use crate::lifecycle::{due_jobs, report_json, seal_view, Executed, Lifecycle, SealedView};
 use crate::service_obs::{job_track, ServiceObs};
 use crate::templates::JobTemplate;
-use cv_cluster::metrics::{DataPlane, JobRecord, MetricsLedger, RobustnessStats};
+use cv_cluster::metrics::{MetricsLedger, RobustnessStats};
 use cv_cluster::sim::{ClusterConfig, ClusterSim, JobSpec};
 use cv_cluster::stage::build_stages;
 use cv_common::hash::Sig128;
 use cv_common::ids::JobId;
-use cv_common::json::{Json, ToJson};
+use cv_common::json::Json;
 use cv_common::{json, CvError, FaultPlan, Result, SimDay, SimTime};
-use cv_core::insights::{InsightsService, UsageEvent, ViewInfo};
+use cv_core::insights::UsageEvent;
 use cv_core::repository::{JobMeta, SubexpressionRepo};
-use cv_core::SharedInsights;
 use cv_data::sharded::ShardedViewStore;
 use cv_data::store_api::SharedViewStore;
 use cv_data::viewstore::ViewStoreStats;
@@ -61,12 +69,12 @@ use cv_engine::optimizer::{AlwaysGrant, ReuseContext, SemanticGrant, ViewMeta};
 use cv_engine::physical::PhysicalPlan;
 use cv_engine::signature::SubexprInfo;
 use cv_service::{
-    run_tasks, FlightOutcome, OpStateCache, PipelinedViewSource, PoolConfig, PromisedView,
-    ServiceStats, SingleFlight, TaggedOpStates, TaskSpec,
+    run_tasks, FlightOutcome, PipelinedViewSource, PoolConfig, PromisedView, ServiceStats,
+    SingleFlight, TaskSpec,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Service-layer knobs on top of [`DriverConfig`].
@@ -261,39 +269,16 @@ pub struct ServiceOutcome {
 }
 
 impl ServiceOutcome {
+    /// The run's JSON report: the sequential driver's shape with the
+    /// service counters in place of the IVM section.
     pub fn report_json(&self) -> Json {
-        let totals = self.ledger.totals();
-        json!({
-            "jobs": totals.jobs,
-            "failed_jobs": self.failed_jobs,
-            "latency_seconds": totals.latency_seconds,
-            "processing_seconds": totals.processing_seconds,
-            "bonus_seconds": totals.bonus_seconds,
-            "containers": totals.containers,
-            "input_bytes": totals.input_bytes,
-            "views_built": totals.views_built,
-            "views_reused": totals.views_reused,
-            "views_reused_exact": totals.views_reused - totals.views_reused_semantic,
-            "views_reused_semantic": totals.views_reused_semantic,
-            "robustness": self.robustness.to_json(),
-            "service": self.service.to_json(),
-            "store": match &self.store_io {
-                Some(io) => json!({
-                    "page_cache_hits": io.page_cache_hits,
-                    "page_cache_misses": io.page_cache_misses,
-                    "page_cache_hit_rate": io.page_cache_hit_rate(),
-                    "pages_evicted": io.pages_evicted,
-                    "wal_fsyncs": io.wal_fsyncs,
-                    "wal_records_written": io.wal_records_written,
-                    "wal_records_replayed": io.wal_records_replayed,
-                    "wal_records_skipped": io.wal_records_skipped,
-                    "recoveries": io.recoveries,
-                    "checkpoints": io.checkpoints,
-                    "bytes_written_durably": io.bytes_written_durably,
-                }),
-                None => Json::Null,
-            },
-        })
+        report_json(
+            &self.ledger,
+            self.failed_jobs,
+            &self.robustness,
+            self.store_io.as_ref(),
+            ("service", self.service.to_json()),
+        )
     }
 }
 
@@ -326,10 +311,8 @@ enum SealState {
 }
 
 struct SealReport {
-    sig: Sig128,
-    recurring: Sig128,
-    rows: u64,
-    bytes: u64,
+    /// The view as sealed; its defining plan is attached at commit.
+    view: SealedView,
     state: SealState,
 }
 
@@ -351,19 +334,6 @@ struct EpochView {
     plan: std::sync::Arc<cv_engine::plan::LogicalPlan>,
     rows: u64,
     bytes: u64,
-}
-
-/// A view sealed during the day, queued for the day-end insights announce.
-struct DaySeal {
-    sig: Sig128,
-    recurring: Sig128,
-    rows: u64,
-    bytes: u64,
-    job: JobId,
-    vc: cv_common::ids::VcId,
-    at: SimTime,
-    template: Option<Sig128>,
-    plan: Option<std::sync::Arc<cv_engine::plan::LogicalPlan>>,
 }
 
 /// Run a workload through the concurrent service.
@@ -414,50 +384,23 @@ pub fn run_workload_service_with_store(
     obs: Option<&ServiceObs>,
 ) -> Result<ServiceOutcome> {
     if cfg.faults.crash_after_bytes.is_some() {
-        return Err(cv_common::CvError::internal(
+        return Err(CvError::internal(
             "crash_after_bytes is a sequential-driver fault: the concurrent service \
              cannot coordinate recovery across in-flight workers",
         ));
     }
-    let enabled = cfg.cloudviews.is_some();
-    let mut engine = QueryEngine::with_config(cfg.optimizer.clone());
-    // Jobs already run one-per-pool-worker; chunking streams inside each
-    // job serially (a nested pool per operator would oversubscribe cores).
-    engine.chunk_size = cfg.chunk_size.max(1);
-    let analyzer = std::sync::Arc::new(cv_analyzer::Analyzer::new(&cfg.optimizer));
-    // Always the containment prover: semantic view matches only happen
-    // when the analyzer certifies them.
-    engine.optimizer.set_prover(analyzer.clone());
-    if cfg.optimizer.verify_plans {
-        engine.optimizer.set_verifier(analyzer);
+    if cfg.ivm == IvmMode::Maintain {
+        return Err(CvError::internal(
+            "ivm Maintain is a sequential-driver mode: the concurrent service has no \
+             incremental-maintenance path (Ingest is supported)",
+        ));
     }
+    let mut core = Lifecycle::new(workload, cfg, store, false);
     if let Some(o) = obs {
-        engine.optimizer.set_obs(o.optimizer_sink.clone());
+        core.engine.optimizer.set_obs(o.optimizer_sink.clone());
     }
-    store.set_fault_plan(cfg.faults.clone());
-    let insights = SharedInsights::new(InsightsService::new(cfg.controls.clone()));
     let flights = SingleFlight::new();
     let stats = ServiceStats::default();
-    // Shared operator-state cache: one builder per breaker signature,
-    // recurring days skip rebuilds whose inputs didn't rotate (keys embed
-    // the scanned GUIDs, so rotated inputs self-invalidate).
-    let op_states: Option<Arc<OpStateCache>> = (cfg.op_state_budget_bytes > 0)
-        .then(|| Arc::new(OpStateCache::with_budget(cfg.op_state_budget_bytes)));
-    if let Some(cache) = &op_states {
-        // Warm-aware planning: a resident build side can flip a
-        // merge-join pick back to hash (byte-safe — all join algorithms
-        // agree bit-for-bit).
-        engine.optimizer.set_warm_states(cache.clone());
-    }
-
-    let mut repo = SubexpressionRepo::new();
-    let mut data_plane: HashMap<JobId, DataPlane> = HashMap::new();
-    let mut result_digests = BTreeMap::new();
-    let mut selection_history = Vec::new();
-    let mut failed_jobs = 0u64;
-    let mut gdpr_purged_views = 0u64;
-    let mut next_job = 0u64;
-    let mut robustness = RobustnessStats::default();
     let mut specs_for_sim: Vec<JobSpec> = Vec::new();
     let mut pipelined_jobs = 0u64;
     let mut steals = 0u64;
@@ -473,11 +416,7 @@ pub fn run_workload_service_with_store(
     let mut op_work_avoided = 0.0f64;
     let mut op_wall_avoided = 0.0f64;
 
-    let raw = raw_specs();
-
-    for day_idx in 0..cfg.days {
-        let day = SimDay(day_idx);
-        let day_start = day.start();
+    for day in (0..cfg.days).map(SimDay) {
         if let Some(o) = obs {
             o.tracer.begin(0, "day");
         }
@@ -485,64 +424,15 @@ pub fn run_workload_service_with_store(
         // Hygiene once per day (the sequential driver evicts before every
         // job; reads re-check expiry themselves, so only eviction-counter
         // timing differs — see DESIGN.md §9).
-        store.evict_expired(day_start)?;
-        insights.lock().expire(day_start);
-
-        // 1. Ingestion: bulk-regenerate due raw datasets (identical to the
-        // sequential driver — same rng, same tables, same GUID rotations).
-        if let Some(o) = obs {
-            o.tracer.begin(0, "ingest");
-        }
-        let mut regenerated = 0u64;
-        for spec in &raw {
-            if day_idx % spec.update_every_days != 0 {
-                continue;
-            }
-            regenerated += 1;
-            let mut rng = data_rng(workload.config.seed, spec.name, day);
-            let table = spec.generate(&mut rng, workload.config.scale, day);
-            match engine.catalog.id_of(spec.name) {
-                Some(id) => {
-                    engine.catalog.bulk_update(id, table, day_start)?;
-                }
-                None => {
-                    engine.catalog.register(spec.name, table, day_start)?;
-                }
-            }
-        }
-        if let Some(o) = obs {
-            o.tracer.end_with(0, &[("datasets", regenerated)]);
-        }
-
-        if let Some(every) = cfg.gdpr_every_days {
-            if day_idx > 0 && day_idx % every == 0 {
-                gdpr_purged_views += apply_gdpr(
-                    &mut engine,
-                    store,
-                    &mut insights.lock(),
-                    op_states.as_deref(),
-                    workload.config.seed,
-                    day,
-                    None,
-                )? as u64;
-            }
-        }
-
-        // 2. Due jobs, sorted exactly like the sequential driver so job ids
-        // line up one-to-one across modes.
-        let mut due: Vec<&JobTemplate> =
-            workload.templates.iter().filter(|t| t.due_on(day)).collect();
-        due.sort_by(|a, b| {
-            a.submit_time(day)
-                .seconds()
-                .total_cmp(&b.submit_time(day).seconds())
-                .then(a.id.cmp(&b.id))
-        });
+        store.evict_expired(day.start())?;
+        core.insights.expire(day.start());
+        core.start_day(day, obs)?;
 
         // Wave split: dataset producers run (and publish to the catalog)
         // before any consumer compiles. The generator schedules cooking
         // well before analytics; verify that holds so the split never
         // reorders jobs relative to the sequential driver.
+        let due = due_jobs(workload, day);
         let first_consumer =
             due.iter().position(|t| t.output_dataset().is_none()).unwrap_or(due.len());
         if due[first_consumer..].iter().any(|t| t.output_dataset().is_some()) {
@@ -552,7 +442,7 @@ pub fn run_workload_service_with_store(
         }
         let (wave0, wave1) = due.split_at(first_consumer);
 
-        let mut day_seals: Vec<DaySeal> = Vec::new();
+        let mut day_seals: Vec<SealedView> = Vec::new();
         // Template → views built earlier today, for the semantic cascade.
         let mut epoch_views: HashMap<Sig128, Vec<EpochView>> = HashMap::new();
         for wave in [wave0, wave1] {
@@ -560,23 +450,12 @@ pub fn run_workload_service_with_store(
                 continue;
             }
             let report = run_wave(WaveCtx {
-                engine: &mut engine,
-                insights: &insights,
-                store,
+                core: &mut core,
                 flights: &flights,
                 stats: &stats,
-                op_states: op_states.as_ref(),
                 wave,
                 day,
-                enabled,
-                cfg,
                 svc,
-                next_job: &mut next_job,
-                repo: &mut repo,
-                data_plane: &mut data_plane,
-                result_digests: &mut result_digests,
-                failed_jobs: &mut failed_jobs,
-                robustness: &mut robustness,
                 day_seals: &mut day_seals,
                 epoch_views: &mut epoch_views,
                 specs_for_sim: &mut specs_for_sim,
@@ -611,86 +490,40 @@ pub fn run_workload_service_with_store(
         if let Some(o) = obs {
             o.tracer.begin(0, "announce");
         }
-        {
-            let mut ins = insights.lock();
-            for s in &day_seals {
-                ins.report_sealed(
-                    ViewInfo {
-                        strict: s.sig,
-                        recurring: s.recurring,
-                        rows: s.rows,
-                        bytes: s.bytes,
-                        sealed_at: s.at,
-                        expires: s.at + cfg.view_ttl,
-                        vc: s.vc,
-                        template: s.template,
-                        plan: s.plan.clone(),
-                    },
-                    s.job,
-                );
-            }
+        let n_seals = day_seals.len() as u64;
+        for seal in day_seals {
+            core.announce(seal);
         }
         flights.clear();
         if let Some(o) = obs {
-            o.tracer.end_with(0, &[("seals", day_seals.len() as u64)]);
+            o.tracer.end_with(0, &[("seals", n_seals)]);
         }
 
-        // 3. Workload analysis + selection publish.
-        if let Some(knobs) = &cfg.cloudviews {
-            if (day_idx + 1) % knobs.analysis_every_days == 0 {
-                if let Some(o) = obs {
-                    o.tracer.begin(0, "analysis");
-                }
-                let n = run_analysis(&repo, &mut insights.lock(), knobs, day, &cfg.cluster);
-                selection_history.push((day, n));
-                if let Some(o) = obs {
-                    o.tracer.end_with(0, &[("selected", n as u64)]);
-                }
-            }
-        }
+        core.analyze(day, obs);
         if let Some(o) = obs {
-            o.tracer.end_with(0, &[("day", u64::from(day_idx))]);
+            o.tracer.end_with(0, &[("day", u64::from(day.index()))]);
         }
     }
 
     // Cluster-side accounting, merged deterministically.
-    let ledger = merge_completions(
-        specs_for_sim,
-        &mut data_plane,
-        &cfg.cluster,
-        &cfg.faults,
-        &mut robustness,
-    )?;
-
-    let store_stats = store.stats();
-    robustness.view_write_failures = store_stats.write_failures;
-    robustness.views_quarantined = store_stats.views_quarantined;
-    let store_io = store.io_stats();
-    if let Some(io) = &store_io {
-        robustness.store_recoveries += io.recoveries;
-        robustness.wal_records_replayed += io.wal_records_replayed;
-        robustness.wal_records_skipped += io.wal_records_skipped;
-    }
+    let end = core.finish(&merge_completions(specs_for_sim, &cfg.cluster, &cfg.faults)?);
 
     let snap = stats.snapshot();
     latencies_ms.sort_by_key(|a| a.0);
-    let op_state = match &op_states {
-        Some(cache) => {
-            let s = cache.stats();
-            OpStateReport {
-                enabled: true,
-                hits: s.hits,
-                cross_job_hits: s.cross_job_hits,
-                misses: s.misses,
-                published: s.published,
-                evicted: s.evicted,
-                degraded_waits: s.degraded_waits,
-                purged: s.purged,
-                resident_bytes: s.resident_bytes,
-                build_work_avoided: op_work_avoided,
-                build_wall_avoided: op_wall_avoided,
-            }
-        }
+    let op_state = match &end.op_state {
+        Some(s) => OpStateReport {
+            enabled: true,
+            hits: s.hits,
+            cross_job_hits: s.cross_job_hits,
+            misses: s.misses,
+            published: s.published,
+            evicted: s.evicted,
+            degraded_waits: s.degraded_waits,
+            purged: s.purged,
+            resident_bytes: s.resident_bytes,
+            build_work_avoided: op_work_avoided,
+            build_wall_avoided: op_wall_avoided,
+        },
         None => OpStateReport::default(),
     };
     let service = ServiceReport {
@@ -725,12 +558,13 @@ pub fn run_workload_service_with_store(
         m.add("flight.resolves", fl.resolves);
         m.add("flight.chunks_buffered", fl.chunks_buffered);
         m.add("service.chunk_assembled_reads", snap.chunk_assembled_reads);
-        m.add("store.views_created", store_stats.views_created);
-        m.add("store.views_reused", store_stats.views_reused);
-        m.add("store.read_misses", store_stats.read_misses);
-        m.add("store.bytes_written", store_stats.bytes_written);
-        m.add("store.bytes_served", store_stats.bytes_served);
-        if let Some(io) = &store_io {
+        let st = &end.view_store_stats;
+        m.add("store.views_created", st.views_created);
+        m.add("store.views_reused", st.views_reused);
+        m.add("store.read_misses", st.read_misses);
+        m.add("store.bytes_written", st.bytes_written);
+        m.add("store.bytes_served", st.bytes_served);
+        if let Some(io) = &end.store_io {
             m.add("store.page_cache_hits", io.page_cache_hits);
             m.add("store.page_cache_misses", io.page_cache_misses);
             m.add("store.pages_evicted", io.pages_evicted);
@@ -765,42 +599,30 @@ pub fn run_workload_service_with_store(
         m.gauge("op_state.resident_bytes").set_max(service.op_state.resident_bytes);
     }
 
-    let usage = insights.lock().usage_log().to_vec();
     Ok(ServiceOutcome {
-        ledger,
-        repo,
-        usage,
-        view_store_stats: store_stats,
-        result_digests,
-        failed_jobs,
-        selection_history,
-        gdpr_purged_views,
-        robustness,
-        store_io,
+        ledger: end.ledger,
+        repo: end.repo,
+        usage: end.usage,
+        view_store_stats: end.view_store_stats,
+        result_digests: end.result_digests,
+        failed_jobs: end.failed_jobs,
+        selection_history: end.selection_history,
+        gdpr_purged_views: end.gdpr_purged_views,
+        robustness: end.robustness,
+        store_io: end.store_io,
         service,
     })
 }
 
 /// Everything one wave needs (bundled to keep `run_wave` callable).
-struct WaveCtx<'a, 'w> {
-    engine: &'a mut QueryEngine,
-    insights: &'a SharedInsights,
-    store: &'a dyn SharedViewStore,
+struct WaveCtx<'a, 'r, 'w> {
+    core: &'a mut Lifecycle<'r>,
     flights: &'a SingleFlight,
     stats: &'a ServiceStats,
-    op_states: Option<&'a Arc<OpStateCache>>,
     wave: &'a [&'w JobTemplate],
     day: SimDay,
-    enabled: bool,
-    cfg: &'a DriverConfig,
     svc: &'a ServiceConfig,
-    next_job: &'a mut u64,
-    repo: &'a mut SubexpressionRepo,
-    data_plane: &'a mut HashMap<JobId, DataPlane>,
-    result_digests: &'a mut BTreeMap<JobId, Sig128>,
-    failed_jobs: &'a mut u64,
-    robustness: &'a mut RobustnessStats,
-    day_seals: &'a mut Vec<DaySeal>,
+    day_seals: &'a mut Vec<SealedView>,
     epoch_views: &'a mut HashMap<Sig128, Vec<EpochView>>,
     specs_for_sim: &'a mut Vec<JobSpec>,
     pipelined_jobs: &'a mut u64,
@@ -825,31 +647,21 @@ struct WaveReport {
     op_state_wall_avoided: f64,
 }
 
-fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
+fn run_wave(ctx: WaveCtx<'_, '_, '_>) -> Result<WaveReport> {
     let WaveCtx {
-        engine,
-        insights,
-        store,
+        core,
         flights,
         stats,
-        op_states,
         wave,
         day,
-        enabled,
-        cfg,
         svc,
-        next_job,
-        repo,
-        data_plane,
-        result_digests,
-        failed_jobs,
-        robustness,
         day_seals,
         epoch_views,
         specs_for_sim,
         pipelined_jobs,
         obs,
     } = ctx;
+    let store = core.store;
 
     // ---- Phase A: compile sequentially, in job order. ----
     let compile_started = Instant::now();
@@ -861,31 +673,18 @@ fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
     let mut exec_inputs: Vec<(PhysicalPlan, HashSet<Sig128>, Vec<JobId>)> = Vec::new();
 
     for template in wave {
-        let submit = template.submit_time(day);
-        let job = JobId(*next_job);
-        *next_job += 1;
+        let meta = core.admit(template, day);
+        let (job, submit) = (meta.job, meta.submit);
         let track = job_track(job);
         if let Some(o) = obs {
             o.tracer.begin(track, "job");
             o.tracer.begin(track, "compile");
             o.optimizer_sink.set_track(track);
         }
-        let meta = JobMeta {
-            job,
-            template: template.id,
-            pipeline: template.pipeline,
-            vc: template.vc,
-            user: template.user,
-            submit,
-        };
-
-        let metadata_down = enabled && cfg.faults.metadata_down(submit);
-        if metadata_down {
-            robustness.metadata_outage_jobs += 1;
-        }
-        let use_cv = enabled && !metadata_down;
+        let use_cv = core.use_cloudviews(submit);
 
         let compile = (|| -> Result<(CompiledTask, PhysicalPlan, HashSet<Sig128>, Vec<JobId>)> {
+            let engine = &core.engine;
             let plan = template.build_plan(engine, day)?;
             if let Some(o) = obs {
                 o.tracer.begin(track, "normalize");
@@ -897,7 +696,7 @@ fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
             }
             let subexprs = subexprs?;
             let mut reuse = if use_cv {
-                insights.lock().annotate(meta.vc, job, &subexprs, submit).0
+                core.insights.annotate(meta.vc, job, &subexprs, submit).0
             } else {
                 ReuseContext::empty()
             };
@@ -966,8 +765,7 @@ fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
                 o.tracer.begin(track, "optimize");
             }
             let compiled_job = if use_cv {
-                let mut coord = insights.clone();
-                engine.optimize(&plan, &reuse, &mut coord)
+                engine.optimize(&plan, &reuse, &mut core.insights.locker())
             } else {
                 engine.optimize(&plan, &reuse, &mut AlwaysGrant)
             };
@@ -1059,7 +857,7 @@ fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
                     o.tracer.end_with(track, &[("failed", 1)]);
                     o.tracer.end_with(track, &[("failed", 1)]);
                 }
-                *failed_jobs += 1;
+                core.failed_jobs += 1;
             }
         }
     }
@@ -1091,7 +889,7 @@ fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
 
     let (tx, rx) = mpsc::channel::<(JobId, Result<TaskDone>)>();
     let mut tasks: Vec<TaskSpec<'_>> = Vec::new();
-    let engine_ref: &QueryEngine = engine;
+    let engine: &QueryEngine = &core.engine;
     for (task, (physical, promised, deps)) in compiled.iter().zip(exec_inputs) {
         let job = task.meta.job;
         let vc = task.meta.vc;
@@ -1101,7 +899,7 @@ fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
         let exec_sink = obs.map(|o| o.exec_sink(job_track(job)));
         // Per-job view of the shared op-state cache: the tag lets the cache
         // attribute hits on another job's published state as cross-job.
-        let tagged = op_states.map(|c| TaggedOpStates::new(c.clone(), job.0));
+        let tagged = core.op_states_for(job);
         tasks.push(TaskSpec {
             job,
             vc,
@@ -1114,7 +912,7 @@ fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
                 // The flight registry doubles as the spool sink: each
                 // sealed chunk of a claimed build streams to it pre-commit
                 // so blocked consumers can assemble the view directly.
-                let res = engine_ref.execute_with_states(
+                let res = engine.execute_with_states(
                     &physical,
                     &src,
                     submit,
@@ -1135,10 +933,7 @@ fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
                         flights.resolve(pv.sig, outcome);
                         resolved.insert(pv.sig);
                         seals.push(SealReport {
-                            sig: pv.sig,
-                            recurring: pv.recurring_sig,
-                            rows: pv.data.num_rows() as u64,
-                            bytes: pv.data.byte_size(),
+                            view: SealedView::new(pv, job, vc, submit, None),
                             state,
                         });
                     }
@@ -1208,37 +1003,18 @@ fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
         match results.remove(&job) {
             Some(Ok(done)) => {
                 let n_seals = done.seals.len() as u64;
-                repo.log_job(task.meta, &task.subexprs, Some(&done.exec.metrics.op_profiles));
-                result_digests.insert(job, digest_table(&done.exec.table));
-
-                for sig in &done.exec.metrics.quarantined_sigs {
-                    store.quarantine(*sig)?;
-                    insights.lock().quarantine(*sig);
-                }
-                // Quarantine coupling: any cached breaker state derived
-                // from a now-quarantined view must go too.
-                if let Some(cache) = op_states {
-                    if !done.exec.metrics.quarantined_sigs.is_empty() {
-                        cache.purge_sigs(&done.exec.metrics.quarantined_sigs);
-                    }
-                }
                 op_work += done.exec.metrics.op_state_work_avoided;
                 op_wall += done.exec.metrics.op_state_wall_avoided;
-                robustness.view_read_failures += done.exec.metrics.view_read_failures;
-                robustness.view_corruptions += done.exec.metrics.view_corruptions;
-                robustness.view_expiry_races += done.exec.metrics.view_expiry_races;
-
-                let dp = DataPlane::from_exec(
-                    &done.exec.metrics,
-                    task.matched.len(),
-                    task.compensated,
-                    task.built.len(),
-                );
-                robustness.fallbacks_recompute += dp.fallbacks_recompute;
-
-                if task.use_cv && !task.matched.is_empty() {
-                    insights.lock().record_reuse(&task.matched, job, task.meta.submit);
-                }
+                specs_for_sim.push(core.commit(Executed {
+                    meta: task.meta,
+                    use_cv: task.use_cv,
+                    subexprs: &task.subexprs,
+                    exec: &done.exec,
+                    matched: &task.matched,
+                    compensated: task.compensated,
+                    built: task.built.len(),
+                    stages: done.stages,
+                })?);
 
                 // Realized pipelining savings: each read served from a view
                 // a concurrent job built avoided recomputing that
@@ -1252,68 +1028,31 @@ fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
                     }
                 }
 
-                if let Some(output) = &task.output_dataset {
-                    match engine.catalog.id_of(output) {
-                        Some(id) => {
-                            engine.catalog.bulk_update(
-                                id,
-                                done.exec.table.clone(),
-                                task.meta.submit,
-                            )?;
-                        }
-                        None => {
-                            engine.catalog.register(
-                                output,
-                                done.exec.table.clone(),
-                                task.meta.submit,
-                            )?;
-                        }
-                    }
-                }
+                core.publish_output(
+                    task.output_dataset.as_deref(),
+                    &done.exec.table,
+                    task.meta.submit,
+                )?;
 
-                for seal in &done.seals {
+                for seal in done.seals {
                     match seal.state {
                         SealState::Published => {
                             let plan = task
                                 .built_plans
                                 .iter()
-                                .find(|(sig, _)| *sig == seal.sig)
+                                .find(|(sig, _)| *sig == seal.view.strict)
                                 .map(|(_, p)| p.clone());
-                            let template = plan.as_ref().and_then(|p| {
-                                cv_engine::signature::template_signature(
-                                    p,
-                                    &engine.optimizer.cfg.sig,
-                                )
-                            });
-                            day_seals.push(DaySeal {
-                                sig: seal.sig,
-                                recurring: seal.recurring,
-                                rows: seal.rows,
-                                bytes: seal.bytes,
-                                job,
-                                vc: task.meta.vc,
-                                at: task.meta.submit,
-                                template,
-                                plan,
-                            })
+                            day_seals.push(SealedView { plan, ..seal.view });
                         }
                         // Write fault / quarantine race / duplicate: the
                         // view was never (newly) advertised — release the
                         // creation lock so a later job can rebuild.
                         SealState::Dropped | SealState::Duplicate => {
-                            insights.lock().release_lock(seal.sig);
+                            core.release_locks([seal.view.strict]);
                         }
                     }
                 }
 
-                data_plane.insert(job, dp);
-                specs_for_sim.push(JobSpec {
-                    job,
-                    vc: task.meta.vc,
-                    template: task.meta.template,
-                    submit: task.meta.submit,
-                    stages: done.stages,
-                });
                 if let Some(o) = obs {
                     // Close the commit span, then the job span opened at
                     // compile time.
@@ -1322,12 +1061,8 @@ fn run_wave(ctx: WaveCtx<'_, '_>) -> Result<WaveReport> {
                 }
             }
             Some(Err(_)) | None => {
-                *failed_jobs += 1;
-                let ins = insights.lock();
-                for sig in &task.built {
-                    ins.release_lock(*sig);
-                }
-                drop(ins);
+                core.failed_jobs += 1;
+                core.release_locks(task.built.iter().copied());
                 if let Some(o) = obs {
                     o.tracer.end_with(track, &[("failed", 1)]);
                     o.tracer.end_with(track, &[("failed", 1)]);
@@ -1397,7 +1132,7 @@ fn spool_promise(plan: &PhysicalPlan, target: Sig128) -> PromisedView {
 }
 
 /// Deterministically merge concurrently completed jobs into the cluster
-/// simulator.
+/// simulator and drain it.
 ///
 /// The simulator rejects submissions that move time backwards, and the
 /// sequential driver relied on processing jobs in submission order to
@@ -1407,11 +1142,9 @@ fn spool_promise(plan: &PhysicalPlan, target: Sig128) -> PromisedView {
 /// which worker finished when.
 pub fn merge_completions(
     mut specs: Vec<JobSpec>,
-    data_plane: &mut HashMap<JobId, DataPlane>,
     cluster: &ClusterConfig,
     faults: &FaultPlan,
-    robustness: &mut RobustnessStats,
-) -> Result<MetricsLedger> {
+) -> Result<ClusterSim> {
     specs.sort_by(|a, b| a.submit.seconds().total_cmp(&b.submit.seconds()).then(a.job.cmp(&b.job)));
     let mut sim = ClusterSim::new(cluster.clone());
     sim.set_fault_plan(faults.clone());
@@ -1423,16 +1156,7 @@ pub fn merge_completions(
         sim.submit(spec)?;
     }
     let _ = sim.run_to_completion();
-    let mut ledger = MetricsLedger::new();
-    for result in sim.results() {
-        robustness.stage_retries += result.stage_retries as u64;
-        robustness.preemptions += result.preemptions as u64;
-        robustness.backoff_seconds += result.backoff_seconds;
-        robustness.job_restarts += result.restarts as u64;
-        let data = data_plane.remove(&result.job).unwrap_or_default();
-        ledger.add(JobRecord { result: result.clone(), data });
-    }
-    Ok(ledger)
+    Ok(sim)
 }
 
 #[cfg(test)]
@@ -1440,6 +1164,7 @@ mod tests {
     use super::*;
     use crate::driver::run_workload;
     use crate::generator::{generate_workload, WorkloadConfig};
+    use crate::lifecycle::ledger;
     use cv_cluster::stage::{Stage, StageGraph};
     use cv_common::ids::{TemplateId, VcId};
 
@@ -1499,11 +1224,9 @@ mod tests {
 
         let cluster = quick_cluster();
         let run = |specs: Vec<JobSpec>| {
-            let mut dp = HashMap::new();
+            let sim = merge_completions(specs, &cluster, &FaultPlan::none()).unwrap();
             let mut rb = RobustnessStats::default();
-            let ledger =
-                merge_completions(specs, &mut dp, &cluster, &FaultPlan::none(), &mut rb).unwrap();
-            (ledger, rb)
+            (ledger(&sim, &mut HashMap::new(), &mut rb), rb)
         };
         let (a, rb_a) = run(in_order);
         let (b, rb_b) = run(shuffled);
@@ -1517,18 +1240,23 @@ mod tests {
     }
 
     /// The determinism contract, cheap edition: a 1-worker service run
-    /// produces exactly the sequential driver's per-job digests.
+    /// produces exactly the sequential driver's per-job digests — also
+    /// under delta ingestion, where both drivers ingest and publish the
+    /// same change feeds.
     #[test]
     fn one_worker_matches_sequential_digests() {
         let w = small_workload();
         let mut cfg = DriverConfig::enabled(2);
         cfg.cluster = quick_cluster();
-        let seq = run_workload(&w, &cfg).unwrap();
-        let svc = ServiceConfig { workers: 1, ..ServiceConfig::default() };
-        let out = run_workload_service(&w, &cfg, &svc).unwrap();
-        assert_eq!(out.failed_jobs, 0);
-        assert_eq!(out.result_digests, seq.result_digests);
-        assert_eq!(out.service.duplicate_materializations, 0);
+        let ingest = DriverConfig { ivm: IvmMode::Ingest, ..cfg.clone() };
+        for cfg in [cfg, ingest] {
+            let seq = run_workload(&w, &cfg).unwrap();
+            let svc = ServiceConfig { workers: 1, ..ServiceConfig::default() };
+            let out = run_workload_service(&w, &cfg, &svc).unwrap();
+            assert_eq!(out.failed_jobs, 0, "{:?}", cfg.ivm);
+            assert_eq!(out.result_digests, seq.result_digests, "{:?}", cfg.ivm);
+            assert_eq!(out.service.duplicate_materializations, 0);
+        }
     }
 
     /// Multi-worker runs must agree with the 1-worker run bit-for-bit.
@@ -1675,29 +1403,36 @@ mod tests {
         assert!(os.purged > 0, "forget-request must purge operator state: {os:?}");
     }
 
-    /// Byte-budget crash plans are a sequential-driver fault: the service
-    /// entry point must refuse them instead of wedging mid-recovery.
+    /// Byte-budget crash plans and incremental maintenance are
+    /// sequential-driver features: the service entry point must refuse
+    /// them instead of wedging mid-recovery or silently maintaining nothing.
     #[test]
     fn service_rejects_crash_budget_plans() {
         let w = small_workload();
         let mut cfg = DriverConfig::enabled(1);
         cfg.cluster = quick_cluster();
-        cfg.faults = FaultPlan::seeded(1).with_crash_after_bytes(1024);
-        let dir =
-            std::env::temp_dir().join(format!("cv-svc-crash-reject-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = cv_store::ShardedDurableViewStore::open(
-            dir.clone(),
-            cfg.view_ttl,
-            4,
-            cv_store::DurableStoreOptions::default(),
-        )
-        .unwrap();
-        let err =
-            run_workload_service_with_store(&w, &cfg, &ServiceConfig::default(), &store, None)
-                .unwrap_err();
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
-        assert!(err.to_string().contains("crash_after_bytes"), "unexpected error: {err}");
+        let crash = DriverConfig {
+            faults: FaultPlan::seeded(1).with_crash_after_bytes(1024),
+            ..cfg.clone()
+        };
+        let maintain = DriverConfig { ivm: IvmMode::Maintain, ..cfg };
+        for (cfg, expected) in [(crash, "crash_after_bytes"), (maintain, "Maintain")] {
+            let dir = std::env::temp_dir()
+                .join(format!("cv-svc-reject-test-{expected}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = cv_store::ShardedDurableViewStore::open(
+                dir.clone(),
+                cfg.view_ttl,
+                4,
+                cv_store::DurableStoreOptions::default(),
+            )
+            .unwrap();
+            let err =
+                run_workload_service_with_store(&w, &cfg, &ServiceConfig::default(), &store, None)
+                    .unwrap_err();
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+            assert!(err.to_string().contains(expected), "unexpected error: {err}");
+        }
     }
 }

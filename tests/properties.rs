@@ -293,23 +293,6 @@ fn simulator_conserves_work() {
     }
 }
 
-/// Bloom filters never produce false negatives.
-#[test]
-fn bloom_no_false_negatives() {
-    let mut rng = DetRng::seed(0x08);
-    for _ in 0..16 {
-        let keys: Vec<i64> =
-            (0..rng.range_usize(1, 500)).map(|_| rng.range_i64(-10_000, 10_000)).collect();
-        let mut bf = cloudviews::extensions::BloomFilter::new(keys.len(), 0.01);
-        for &k in &keys {
-            bf.insert(&Value::Int(k));
-        }
-        for &k in &keys {
-            assert!(bf.contains(&Value::Int(k)));
-        }
-    }
-}
-
 /// Containment implication is sound: if `implies(a, b)` then every row
 /// satisfying `a` satisfies `b`.
 #[test]
