@@ -15,6 +15,20 @@ cargo test --workspace -q
 echo "==> perfbench unit tests (its own workspace; includes the store-wrapper parity test)"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench end-to-end smoke (every job against the no-reuse oracle, layer invariants)"
+perf_out="$(mktemp)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload reuse_hot --seed 42 --seconds 1 --trace 1 \
+  > "$perf_out" || { echo "perfbench: smoke run failed"; rm -f "$perf_out"; exit 1; }
+python3 - "$perf_out" <<'EOF'
+import json, sys
+verdict = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+assert verdict["correct"] is True, "perfbench: a result or invariant check failed"
+assert verdict["failed"] == 0, f"perfbench: {verdict['failed']} failed jobs"
+print(f"    perfbench OK ({verdict['attempted']} jobs checked, 0 failed)")
+EOF
+rm -f "$perf_out"
+
 echo "==> golden paper artifacts (Table 1, Figs. 2/3/6-9, ablations: exact match)"
 for golden in goldens/*.json; do
   bin="$(basename "$golden" .json)"

@@ -116,69 +116,58 @@ impl DetRng {
         self.normal(mu, sigma).exp()
     }
 
-    /// Sample from a Zipf distribution over `{0, .., n-1}` with exponent `s`.
-    ///
-    /// Used to reproduce the heavy-tailed dataset-consumer distribution of
-    /// paper Fig. 2 (a few datasets consumed thousands of times, most a few).
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        debug_assert!(n > 0);
-        // Inverse-CDF on the (cached-free) harmonic weights. n is small in
-        // our workloads (≤ a few thousand), so a linear scan is fine and
-        // keeps the generator allocation-free.
-        let norm: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
-        let mut u = self.next_f64() * norm;
-        for k in 1..=n {
-            u -= 1.0 / (k as f64).powf(s);
-            if u <= 0.0 {
-                return k - 1;
-            }
-        }
-        n - 1
-    }
-
     /// Sample an index according to explicit non-negative weights.
     pub fn weighted(&mut self, weights: &[f64]) -> usize {
         let total: f64 = weights.iter().sum();
         assert!(total > 0.0, "weights must not all be zero");
-        let mut u = self.next_f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            u -= w;
-            if u <= 0.0 {
-                return i;
-            }
-        }
-        weights.len() - 1
+        scan(weights, self.next_f64() * total)
     }
 }
 
-/// A pre-normalized Zipf sampler for hot loops (amortizes the harmonic sum).
+/// The bucket `u` lands in when `weights` are laid end to end, found by
+/// subtracting them in order; the last bucket absorbs rounding overshoot.
+fn scan(weights: &[f64], mut u: f64) -> usize {
+    for (i, w) in weights.iter().enumerate() {
+        u -= w;
+        if u <= 0.0 {
+            return i;
+        }
+    }
+    weights.len() - 1
+}
+
+/// A Zipf distribution over `{0, .., n-1}` with exponent `s`: rank `k`
+/// (1-based) has weight `1 / k^s`.
+///
+/// Reproduces the heavy-tailed dataset-consumer distribution of paper
+/// Fig. 2 (a few datasets consumed thousands of times, most a few). Build
+/// it once per `(n, s)` and sample it in the hot loop: the weights and
+/// their sum are computed here, not per draw.
+///
+/// [`Zipf::sample`] scans the weights sequentially, subtracting each from
+/// the scaled uniform draw. A binary search over a prefix-sum CDF would be
+/// faster for large `n`, but it rounds differently and can pick another
+/// rank for a draw near a bucket boundary. The sequential scan performs
+/// the same float operations in the same order as the historical per-call
+/// sampler, so every draw is bit-identical to it by construction, and all
+/// generated data, digests and golden artifacts stay where they are.
 #[derive(Debug, Clone)]
-pub struct ZipfSampler {
-    cdf: Vec<f64>,
+pub struct Zipf {
+    weights: Vec<f64>,
+    norm: f64,
 }
 
-impl ZipfSampler {
-    pub fn new(n: usize, s: f64) -> ZipfSampler {
-        assert!(n > 0);
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let norm = acc;
-        for v in &mut cdf {
-            *v /= norm;
-        }
-        ZipfSampler { cdf }
+impl Zipf {
+    pub fn new(n: usize, s: f64) -> Zipf {
+        assert!(n > 0, "Zipf over an empty domain");
+        let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
+        let norm = weights.iter().sum();
+        Zipf { weights, norm }
     }
 
+    /// Draw one rank in `{0, .., n-1}`; consumes exactly one `next_f64`.
     pub fn sample(&self, rng: &mut DetRng) -> usize {
-        let u = rng.next_f64();
-        match self.cdf.binary_search_by(|p| p.partial_cmp(&u).expect("no NaN")) {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
+        scan(&self.weights, rng.next_f64() * self.norm)
     }
 }
 
@@ -263,25 +252,59 @@ mod tests {
         assert!((var - 4.0).abs() < 0.2, "var {var}");
     }
 
+    /// The historical per-call sampler, verbatim: the norm and every
+    /// weight recomputed on each draw. [`Zipf`] must reproduce it exactly.
+    fn reference_zipf(rng: &mut DetRng, n: usize, s: f64) -> usize {
+        let norm: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
+        let mut u = rng.next_f64() * norm;
+        for k in 1..=n {
+            u -= 1.0 / (k as f64).powf(s);
+            if u <= 0.0 {
+                return k - 1;
+            }
+        }
+        n - 1
+    }
+
+    #[test]
+    fn zipf_is_bit_identical_to_the_per_call_formula() {
+        for n in [1, 2, 3, 6, 60, 120, 240, 400, 800, 4000] {
+            for s in [0.9, 1.0, 1.05, 1.1, 1.6] {
+                let zipf = Zipf::new(n, s);
+                let seed = n as u64 * 1_000 + (s * 100.0) as u64;
+                let mut a = DetRng::seed(seed);
+                let mut b = DetRng::seed(seed);
+                for draw in 0..10_000 {
+                    assert_eq!(
+                        zipf.sample(&mut a),
+                        reference_zipf(&mut b, n, s),
+                        "n={n} s={s} draw {draw}"
+                    );
+                }
+                assert_eq!(a.s, b.s, "n={n} s={s}: streams ended in different states");
+            }
+        }
+    }
+
     #[test]
     fn zipf_is_monotone_decreasing_in_rank() {
+        let zipf = Zipf::new(20, 1.1);
         let mut r = DetRng::seed(8);
-        let n = 20;
-        let mut counts = vec![0usize; n];
+        let mut counts = [0usize; 20];
         for _ in 0..100_000 {
-            counts[r.zipf(n, 1.1)] += 1;
+            counts[zipf.sample(&mut r)] += 1;
         }
         assert!(counts[0] > counts[4]);
         assert!(counts[4] > counts[15]);
     }
 
     #[test]
-    fn zipf_sampler_matches_direct_distribution_shape() {
-        let sampler = ZipfSampler::new(50, 1.0);
+    fn zipf_matches_direct_distribution_shape() {
+        let zipf = Zipf::new(50, 1.0);
         let mut r = DetRng::seed(10);
-        let mut counts = vec![0usize; 50];
+        let mut counts = [0usize; 50];
         for _ in 0..100_000 {
-            counts[sampler.sample(&mut r)] += 1;
+            counts[zipf.sample(&mut r)] += 1;
         }
         assert!(counts[0] > counts[10]);
         assert!(counts[10] > counts[40]);

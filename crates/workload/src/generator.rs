@@ -8,7 +8,7 @@
 
 use crate::templates::{JobTemplate, TemplateBody, TemplateKind};
 use cv_common::ids::{PipelineId, TemplateId, UserId, VcId};
-use cv_common::rng::DetRng;
+use cv_common::rng::{DetRng, Zipf};
 use cv_common::SimDuration;
 
 /// Workload generation knobs.
@@ -205,17 +205,21 @@ pub fn generate_workload(config: WorkloadConfig) -> Workload {
     // where each staggered pipeline's dense afternoon run sits.
     let burst: Vec<bool> = (0..n_pipelines).map(|_| rng.chance(config.burst_fraction)).collect();
 
+    // Popularity-weighted fragment choice: Zipf over datasets (the
+    // Asimov-style skew toward one hot dataset, Fig. 2) and over each
+    // pool's filters (this is what creates shared prefixes).
+    let datasets = Zipf::new(POOLS.len(), 1.1);
+    let filters: Vec<Zipf> = POOLS.iter().map(|p| Zipf::new(p.filters.len(), 1.6)).collect();
+
     for i in 0..config.n_analytics {
         let id = TemplateId(templates.len() as u64);
         let pipeline = 1 + (i % n_pipelines) as u64;
         let vc = VcId(1 + (pipeline % config.n_vcs.max(1) as u64));
         let user = UserId(rng.range_u64(0, config.n_users.max(1) as u64));
 
-        // Popularity-weighted fragment choice: Zipf over datasets (the
-        // Asimov-style skew toward one hot dataset, Fig. 2) and over the
-        // filter pool (this is what creates shared prefixes).
-        let pool = &POOLS[rng.zipf(POOLS.len(), 1.1)];
-        let filter = pool.filters[rng.zipf(pool.filters.len(), 1.6)];
+        let pool_idx = datasets.sample(&mut rng);
+        let pool = &POOLS[pool_idx];
+        let filter = pool.filters[filters[pool_idx].sample(&mut rng)];
         let with_join = pool.join.is_some() && rng.chance(0.35);
         let (join_sql, join_cols) = match (&pool.join, with_join) {
             (Some((sql, cols)), true) => (*sql, *cols),

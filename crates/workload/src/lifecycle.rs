@@ -577,7 +577,7 @@ pub(crate) fn seal_view(
 
 /// Deterministic per-(dataset, day) data stream, independent of everything
 /// else — baseline and enabled runs see byte-identical inputs.
-fn data_rng(seed: u64, dataset: &str, day: SimDay) -> DetRng {
+pub(crate) fn data_rng(seed: u64, dataset: &str, day: SimDay) -> DetRng {
     let mut h = StableHasher::with_domain("workload-data");
     h.write_u64(seed);
     h.write_str(dataset);

@@ -8,7 +8,7 @@
 //! * **retail** (the Fig. 4 running example): `sales` facts with `customer`
 //!   and `part` dimensions.
 
-use cv_common::rng::DetRng;
+use cv_common::rng::{DetRng, Zipf};
 use cv_common::SimDay;
 use cv_data::delta::TableDelta;
 use cv_data::schema::{Field, Schema, SchemaRef};
@@ -161,13 +161,17 @@ impl RawDatasetSpec {
         let n_customers = ((200.0 * scale) as i64).max(10);
         let n_parts = ((120.0 * scale) as i64).max(8);
         let epoch_day = 18_293 + day.index() as i32; // ≈ 2020-02-01 + day
+        let users = Zipf::new(n_users as usize, 1.05);
+        let pages = Zipf::new(60, 1.1);
+        let customers = Zipf::new(n_customers as usize, 0.9);
+        let parts = Zipf::new(n_parts as usize, 1.0);
         let mut out: Vec<Vec<Value>> = Vec::with_capacity(rows);
         match self.generator {
             DataGenerator::PageViews => {
                 for _ in 0..rows {
                     out.push(vec![
-                        Value::Int(rng.zipf(n_users as usize, 1.05) as i64),
-                        Value::Str(format!("/page/{}", rng.zipf(60, 1.1))),
+                        Value::Int(users.sample(rng) as i64),
+                        Value::Str(format!("/page/{}", pages.sample(rng))),
                         Value::Int((rng.log_normal(4.5, 0.8)) as i64),
                         Value::Str(rng.choose(&USER_AGENTS).to_string()),
                         Value::Int(rng.range_i64(0, 100_000)),
@@ -178,7 +182,7 @@ impl RawDatasetSpec {
             DataGenerator::AppEvents => {
                 for _ in 0..rows {
                     out.push(vec![
-                        Value::Int(rng.zipf(n_users as usize, 1.05) as i64),
+                        Value::Int(users.sample(rng) as i64),
                         Value::Str(rng.choose(&APPS).to_string()),
                         Value::Str(EVENT_KINDS[rng.weighted(&[0.5, 0.35, 0.1, 0.05])].to_string()),
                         Value::Float((rng.range_f64(0.0, 100.0) * 100.0).round() / 100.0),
@@ -208,8 +212,8 @@ impl RawDatasetSpec {
             DataGenerator::Sales => {
                 for _ in 0..rows {
                     out.push(vec![
-                        Value::Int(rng.zipf(n_customers as usize, 0.9) as i64),
-                        Value::Int(rng.zipf(n_parts as usize, 1.0) as i64),
+                        Value::Int(customers.sample(rng) as i64),
+                        Value::Int(parts.sample(rng) as i64),
                         Value::Float((rng.log_normal(3.0, 0.7) * 100.0).round() / 100.0),
                         Value::Int(rng.range_i64(1, 10)),
                         Value::Float((rng.range_f64(0.0, 0.4) * 100.0).round() / 100.0),
@@ -390,6 +394,34 @@ mod tests {
             assert_eq!(residue.inserts.num_rows(), 0, "{}", spec.name);
             assert_eq!(residue.deletes.num_rows(), delta.deletes.num_rows(), "{}", spec.name);
         }
+    }
+
+    /// Pins every raw table the ingest path generates: seed 42, days
+    /// 0..14, scales 1.0 and 2.0, seeded exactly as the drivers seed it.
+    /// If this fails, generated data moved, and with it every digest,
+    /// golden artifact and simulated cost downstream.
+    #[test]
+    fn generated_data_is_pinned() {
+        use cv_common::hash::StableHasher;
+        let mut h = StableHasher::with_domain("raw-data-pin");
+        for scale in [1.0, 2.0] {
+            for day in 0..14 {
+                for spec in raw_specs() {
+                    let mut rng = crate::lifecycle::data_rng(42, spec.name, SimDay(day));
+                    let t = spec.generate(&mut rng, scale, SimDay(day));
+                    h.write_str(spec.name);
+                    h.write_u64(day as u64);
+                    for row in t.canonical_rows() {
+                        h.write_str(&row);
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            h.finish128().0,
+            0x2120_5932_2d95_d8ec_0d37_01e8_31c9_96da,
+            "generated raw data moved"
+        );
     }
 
     #[test]
