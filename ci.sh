@@ -157,22 +157,6 @@ print(f"    trace OK ({len(events)} events), phase breakdown OK, durable store O
 EOF
 rm -f "$trace_json" "$metrics_json"
 
-echo "==> chunk-size parity gate (same workload, different morsel granularity)"
-chunk_bench="$(mktemp)"
-cargo run --release -q --bin cv-serve -- --days 3 --scale 0.05 --analytics 12 \
-  --seed 42 --workers 8 --chunk-size 333 --min-speedup auto --bench "$chunk_bench" \
-  > /dev/null || { echo "cv-serve: chunk-size 333 run violated a contract"; exit 1; }
-python3 - "$bench_dir/BENCH_service.json" "$chunk_bench" <<'EOF'
-import json, sys
-a = json.load(open(sys.argv[1]))
-b = json.load(open(sys.argv[2]))
-assert b["chunk_size"] == 333, "chunk-size flag did not take"
-assert a["digest_checksum"] == b["digest_checksum"], \
-    "chunk size changed result digests (2048 vs 333)"
-print(f"    chunk parity OK (checksum {a['digest_checksum'][:16]}… at chunk 2048 == 333)")
-EOF
-rm -f "$chunk_bench"
-
 echo "==> containment gate (semantic on/off digest parity + compensated hits)"
 cargo run --release -q --bin cv-analyze -- --containment --days 4 --scale 0.05 \
   --seed 42 --json "$bench_dir/BENCH_reuse.json" \

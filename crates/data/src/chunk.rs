@@ -1,22 +1,19 @@
-//! Fixed-size chunk sequences for morsel-driven execution.
+//! Fixed-size row ranges for morsel-driven execution.
 //!
-//! A [`ChunkedTable`] is a [`Table`] viewed as a sequence of fixed-size
-//! chunks — the morsels that stream through operator pipelines and get
-//! scheduled across worker threads. Each chunk is itself a `Table` whose
-//! column segments sit behind their own `Arc<ColumnData>`, so handing a
-//! sealed chunk to a concurrent consumer is a reference bump.
+//! A morsel is a row range of a [`crate::table::Table`]: the executor cuts
+//! an operator's input with [`chunk_ranges`] when a parallel runner asks
+//! for morsels, copies each range out with `Table::slice`, and reassembles
+//! the outputs with `Table::from_chunks`.
 //!
 //! The layout contract: chunk `k` of a table with `rows` rows covers rows
 //! `[k * chunk_size, min((k + 1) * chunk_size, rows))`. An empty table is
 //! one empty chunk, so pipelines never special-case zero rows.
 
-use crate::schema::SchemaRef;
-use crate::table::Table;
-use cv_common::Result;
-
 /// Default rows per chunk. 2048 rows keeps a chunk of typical width inside
 /// the L2 cache while leaving enough work per morsel to amortize
-/// scheduling; drivers expose it as `--chunk-size`.
+/// scheduling. The work ledger charges morsel dispatch at this size
+/// whatever the runner; the `kernels` microbench exposes it as
+/// `--chunk-size`.
 pub const DEFAULT_CHUNK_SIZE: usize = 2048;
 
 /// Row ranges `(offset, len)` of each chunk of an `rows`-row table. An
@@ -30,117 +27,12 @@ pub fn chunk_ranges(rows: usize, chunk_size: usize) -> Vec<(usize, usize)> {
     (0..rows.div_ceil(chunk)).map(|k| (k * chunk, chunk.min(rows - k * chunk))).collect()
 }
 
-/// A table as a sequence of fixed-size chunks.
-#[derive(Clone, Debug)]
-pub struct ChunkedTable {
-    schema: SchemaRef,
-    chunks: Vec<Table>,
-    chunk_size: usize,
-}
-
-impl ChunkedTable {
-    /// Split a table into `chunk_size`-row chunks. When the table fits one
-    /// chunk the split is zero-copy (the single chunk shares the buffers).
-    pub fn from_table(table: &Table, chunk_size: usize) -> ChunkedTable {
-        let chunk_size = chunk_size.max(1);
-        let chunks = chunk_ranges(table.num_rows(), chunk_size)
-            .into_iter()
-            .map(|(off, len)| table.slice(off, len))
-            .collect();
-        ChunkedTable { schema: table.schema().clone(), chunks, chunk_size }
-    }
-
-    /// Wrap already-produced chunks (a pipeline stage's outputs).
-    pub fn from_parts(schema: SchemaRef, chunks: Vec<Table>, chunk_size: usize) -> ChunkedTable {
-        ChunkedTable { schema, chunks, chunk_size: chunk_size.max(1) }
-    }
-
-    pub fn schema(&self) -> &SchemaRef {
-        &self.schema
-    }
-
-    pub fn num_chunks(&self) -> usize {
-        self.chunks.len()
-    }
-
-    pub fn num_rows(&self) -> usize {
-        self.chunks.iter().map(Table::num_rows).sum()
-    }
-
-    pub fn chunk(&self, k: usize) -> &Table {
-        &self.chunks[k]
-    }
-
-    pub fn chunks(&self) -> &[Table] {
-        &self.chunks
-    }
-
-    /// Reassemble into one contiguous (normalized) table.
-    pub fn into_table(self) -> Result<Table> {
-        Table::from_chunks(self.schema, &self.chunks)
-    }
-
-    /// Gather rows by global index, chunk-aware: any maximal run of indices
-    /// that is exactly the identity of one source chunk reuses that chunk's
-    /// buffers (reference bump) instead of gathering — one out-of-order
-    /// index elsewhere in the table no longer forces a full gather of every
-    /// column. Non-identity runs fall back to a per-chunk gather.
-    pub fn take(&self, indices: &[usize]) -> Result<ChunkedTable> {
-        // Chunk start offsets, for spotting runs that begin at a chunk.
-        let mut start_of = std::collections::HashMap::new();
-        let mut off = 0usize;
-        for (k, c) in self.chunks.iter().enumerate() {
-            if c.num_rows() > 0 {
-                start_of.insert(off, k);
-            }
-            off += c.num_rows();
-        }
-        let mut whole: Option<Table> = None;
-        let mut out: Vec<Table> = Vec::new();
-        let mut gather: Vec<usize> = Vec::new();
-        let mut pos = 0usize;
-        while pos < indices.len() {
-            let run = start_of.get(&indices[pos]).copied().filter(|&k| {
-                let len = self.chunks[k].num_rows();
-                indices.len() >= pos + len
-                    && indices[pos..pos + len]
-                        .iter()
-                        .enumerate()
-                        .all(|(j, &i)| i == indices[pos] + j)
-            });
-            match run {
-                Some(k) => {
-                    if !gather.is_empty() {
-                        if whole.is_none() {
-                            whole = Some(Table::from_chunks(self.schema.clone(), &self.chunks)?);
-                        }
-                        out.push(whole.as_ref().unwrap().take(&gather)?);
-                        gather.clear();
-                    }
-                    pos += self.chunks[k].num_rows();
-                    out.push(self.chunks[k].clone());
-                }
-                None => {
-                    gather.push(indices[pos]);
-                    pos += 1;
-                }
-            }
-        }
-        if !gather.is_empty() {
-            if whole.is_none() {
-                whole = Some(Table::from_chunks(self.schema.clone(), &self.chunks)?);
-            }
-            out.push(whole.as_ref().unwrap().take(&gather)?);
-        }
-        Ok(ChunkedTable { schema: self.schema.clone(), chunks: out, chunk_size: self.chunk_size })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bitmap::Bitmap;
     use crate::schema::{Field, Schema};
+    use crate::table::Table;
     use crate::value::{DataType, Value};
 
     fn table(n: usize) -> Table {
@@ -167,13 +59,18 @@ mod tests {
         assert_eq!(chunk_ranges(3, 100), vec![(0, 3)]);
     }
 
+    /// Slice `t` along `chunk_ranges` — the executor's morsel split.
+    fn split(t: &Table, chunk_size: usize) -> Vec<Table> {
+        chunk_ranges(t.num_rows(), chunk_size).into_iter().map(|(o, l)| t.slice(o, l)).collect()
+    }
+
     #[test]
     fn split_and_reassemble_is_byte_identical_at_any_chunk_size() {
         let t = table(100).normalized();
         for chunk_size in [1, 3, 7, 64, 100, 5000] {
-            let ct = ChunkedTable::from_table(&t, chunk_size);
-            assert_eq!(ct.num_rows(), 100);
-            let back = ct.into_table().unwrap();
+            let chunks = split(&t, chunk_size);
+            assert_eq!(chunks.iter().map(Table::num_rows).sum::<usize>(), 100);
+            let back = Table::from_chunks(t.schema().clone(), &chunks).unwrap();
             assert_eq!(back.to_rows(), t.to_rows(), "chunk {chunk_size}");
             assert_eq!(back.byte_size(), t.byte_size(), "chunk {chunk_size}");
             for ci in 0..t.num_columns() {
@@ -189,43 +86,24 @@ mod tests {
     #[test]
     fn single_chunk_split_is_zero_copy() {
         let t = table(10);
-        let ct = ChunkedTable::from_table(&t, DEFAULT_CHUNK_SIZE);
-        assert_eq!(ct.num_chunks(), 1);
-        assert!(ct.chunk(0).column(0).ptr_eq(t.column(0)));
-    }
-
-    #[test]
-    fn chunk_identity_take_shares_buffers_per_chunk() {
-        let t = table(20);
-        let ct = ChunkedTable::from_table(&t, 5);
-        // Chunks 0 and 2 are identity runs; rows 5..10 are shuffled.
-        let mut idx: Vec<usize> = (0..5).collect();
-        idx.extend([9, 8, 7, 6, 5]);
-        idx.extend(10..15);
-        let taken = ct.take(&idx).unwrap();
-        assert!(taken.chunk(0).column(0).ptr_eq(ct.chunk(0).column(0)), "chunk 0 not shared");
-        assert!(taken.chunk(2).column(0).ptr_eq(ct.chunk(2).column(0)), "chunk 2 not shared");
-        assert_eq!(taken.num_rows(), 15);
-        let got = taken.into_table().unwrap();
-        let want = t.take(&idx).unwrap();
-        assert_eq!(got.to_rows(), want.to_rows());
+        let chunks = split(&t, DEFAULT_CHUNK_SIZE);
+        assert_eq!(chunks.len(), 1);
+        assert!(chunks[0].column(0).ptr_eq(t.column(0)));
     }
 
     #[test]
     fn empty_table_is_one_empty_chunk() {
         let t = Table::empty(table(1).schema().clone());
-        let ct = ChunkedTable::from_table(&t, 4);
-        assert_eq!(ct.num_chunks(), 1);
-        assert_eq!(ct.num_rows(), 0);
-        assert_eq!(ct.into_table().unwrap().num_rows(), 0);
+        let chunks = split(&t, 4);
+        assert_eq!(chunks.len(), 1);
+        assert_eq!(chunks[0].num_rows(), 0);
+        assert_eq!(Table::from_chunks(t.schema().clone(), &chunks).unwrap().num_rows(), 0);
     }
 
     #[test]
     fn fully_masked_filter_chunks_reassemble_empty() {
         let t = table(10);
-        let ct = ChunkedTable::from_table(&t, 4);
-        let filtered: Vec<Table> = ct
-            .chunks()
+        let filtered: Vec<Table> = split(&t, 4)
             .iter()
             .map(|c| c.filter(&Bitmap::all_clear(c.num_rows())).unwrap())
             .collect();

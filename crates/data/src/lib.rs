@@ -5,8 +5,8 @@
 //! * typed scalar [`value::Value`]s and [`schema::Schema`]s,
 //! * columnar [`column::Column`]s with validity bitmaps, the
 //!   [`table::Table`] abstraction the executor operates on, and
-//!   [`chunk::ChunkedTable`] — tables as fixed-size chunk sequences for
-//!   morsel-driven parallel pipelines,
+//!   [`chunk::chunk_ranges`] — the row ranges a parallel runner's morsels
+//!   cover,
 //! * a [`catalog::DatasetCatalog`] of *versioned* shared datasets — Cosmos
 //!   datasets are bulk-regenerated (never updated in place), each
 //!   regeneration minting a fresh GUID that strict signatures hash,
@@ -27,7 +27,7 @@ pub mod viewstore;
 
 pub use bitmap::Bitmap;
 pub use catalog::{Dataset, DatasetCatalog, DatasetVersion};
-pub use chunk::{chunk_ranges, ChunkedTable, DEFAULT_CHUNK_SIZE};
+pub use chunk::{chunk_ranges, DEFAULT_CHUNK_SIZE};
 pub use column::{Column, ColumnBuilder, ColumnData};
 pub use delta::{diff_tables, TableDelta};
 pub use schema::{Field, Schema, SchemaRef};
@@ -43,7 +43,6 @@ pub use viewstore::{MaterializedView, ViewSource, ViewStore, ViewStoreStats, Vie
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Table>();
-    assert_send_sync::<ChunkedTable>();
     assert_send_sync::<SchemaRef>();
     assert_send_sync::<DatasetCatalog>();
     assert_send_sync::<MaterializedView>();

@@ -1,10 +1,10 @@
 //! Columnar tables: the unit of data the executor operates on.
 //!
-//! A [`Table`] is one contiguous chunk of rows. Morsel-driven execution
-//! slices tables into fixed-size chunks ([`crate::chunk::ChunkedTable`],
-//! default [`crate::chunk::DEFAULT_CHUNK_SIZE`] rows) that stream through
-//! operator pipelines one at a time; every chunk is itself a `Table`, so
-//! operators need no second code path.
+//! A [`Table`] is one contiguous chunk of rows. Serial execution runs each
+//! operator over its whole input table; under a parallel runner the
+//! executor copies fixed-size row ranges out ([`crate::chunk::chunk_ranges`],
+//! default [`crate::chunk::DEFAULT_CHUNK_SIZE`] rows) as morsels. Every
+//! morsel is itself a `Table`, so operators need no second code path.
 
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnBuilder, ColumnData};
@@ -18,10 +18,11 @@ use std::sync::Arc;
 /// An immutable columnar table — one contiguous chunk of rows.
 ///
 /// Each column's buffer sits behind an `Arc`, so cloning, slicing the full
-/// range, or gathering an identity prefix are reference bumps. Heavy
-/// operators process tables as sequences of fixed-size chunks (each chunk a
-/// `Table` of its own) and morsel-schedule the chunks across worker
-/// threads; pipeline breakers reassemble with [`Table::from_chunks`].
+/// range, or gathering the full identity are reference bumps; any proper
+/// row range is copied. Under a parallel runner, streamable operators
+/// process tables as sequences of fixed-size chunks (each chunk a `Table`
+/// of its own) scheduled across worker threads, and reassemble them with
+/// [`Table::from_chunks`].
 #[derive(Clone, Debug)]
 pub struct Table {
     schema: SchemaRef,

@@ -2,8 +2,7 @@
 //! registry and optimizer — one simulated SCOPE engine instance per cluster.
 
 use crate::exec::{
-    execute, ExecContext, ExecMetrics, ExecOutcome, MorselRunner, OpStateSource, PendingView,
-    SerialRunner, SpoolSink,
+    execute, ExecContext, ExecMetrics, ExecOutcome, OpStateSource, PendingView, SpoolSink,
 };
 use crate::optimizer::{
     AlwaysGrant, BuildCoordinator, OptimizeOutcome, Optimizer, OptimizerConfig, ReuseContext,
@@ -47,11 +46,6 @@ pub struct QueryEngine {
     pub views: ViewStore,
     pub udos: UdoRegistry,
     pub optimizer: Optimizer,
-    /// Rows per morsel for chunked operators (drivers' `--chunk-size`).
-    pub chunk_size: usize,
-    /// Morsel runner shared by every execution; serial unless the service
-    /// layer plugs in its pool-backed runner.
-    pub runner: Arc<dyn MorselRunner>,
 }
 
 impl Default for QueryEngine {
@@ -71,16 +65,7 @@ impl QueryEngine {
             views: ViewStore::with_default_ttl(),
             udos: UdoRegistry::with_builtins(),
             optimizer: Optimizer::new(cfg),
-            chunk_size: cv_data::chunk::DEFAULT_CHUNK_SIZE,
-            runner: Arc::new(SerialRunner),
         }
-    }
-
-    /// Configure morsel execution: chunk size and the runner that fans
-    /// per-chunk work across workers.
-    pub fn set_morsels(&mut self, chunk_size: usize, runner: Arc<dyn MorselRunner>) {
-        self.chunk_size = chunk_size.max(1);
-        self.runner = runner;
     }
 
     /// Parse + bind SQL against the current catalog.
@@ -133,8 +118,9 @@ impl QueryEngine {
         spool_sink: Option<&dyn SpoolSink>,
         op_states: Option<&dyn OpStateSource>,
     ) -> Result<ExecOutcome> {
-        let mut ctx = ExecContext::new(&self.catalog, views, &self.udos, now)
-            .with_chunking(self.chunk_size, self.runner.clone());
+        // Jobs run one per worker (paper §2.1): each runs serially, every
+        // operator over its whole input.
+        let mut ctx = ExecContext::new(&self.catalog, views, &self.udos, now);
         ctx.obs = obs;
         ctx.spool_sink = spool_sink;
         ctx.op_states = op_states;

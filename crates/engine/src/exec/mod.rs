@@ -1,4 +1,4 @@
-//! Single-node vectorized executor with chunked, morsel-driven pipelines.
+//! Single-node vectorized executor; morsel-driven under a parallel runner.
 //!
 //! Executes physical plans over the in-memory catalog, producing the result
 //! table plus the runtime telemetry the rest of the system feeds on:
@@ -12,18 +12,27 @@
 //! * **pending views** captured by spool operators, to be sealed by the job
 //!   manager (early sealing happens in the cluster layer).
 //!
-//! # Chunked execution
+//! # Morsel execution
 //!
-//! Streamable operators — filter, project, the hash-join *probe* side,
-//! limit, and both the evaluation phase and the final merge emission of
-//! hash aggregation — process their input as a sequence of fixed-size
-//! chunks ([`cv_data::chunk::DEFAULT_CHUNK_SIZE`] rows) and fan the chunks
-//! out through the context's [`MorselRunner`], so a single heavy job
-//! spreads across the service's worker pool. Pipeline breakers — sorts,
-//! join build sides, merge/loop joins, unions, UDOs, spools, aggregate
-//! accumulation — materialize via [`Table::from_chunks`]. Breaker states
-//! (join builds, finished aggregate/sort output) can additionally be
-//! restored from an [`OpStateSource`] instead of rebuilt; see [`opstate`].
+//! Serial execution — every context [`ExecContext::new`] builds — runs each
+//! operator over its whole input. Only [`ExecContext::with_chunking`] asks
+//! for morsels: streamable operators (filter, project, the hash-join
+//! *probe* side, and both the evaluation phase and the final merge
+//! emission of hash aggregation) then cut their input into fixed-size
+//! chunks, copy each out with [`Table::slice`], fan the chunks through the
+//! context's [`MorselRunner`] (the service's pool runner spreads one heavy
+//! query across workers) and reassemble the outputs with
+//! [`Table::from_chunks`]. Pipeline breakers — sorts, join build sides,
+//! merge/loop joins, unions, UDOs, spools, aggregate accumulation — always
+//! see whole tables. Breaker states (join builds, finished aggregate/sort
+//! output) can additionally be restored from an [`OpStateSource`] instead
+//! of rebuilt; see [`opstate`].
+//!
+//! The work ledger charges morsel dispatch for the chunks a
+//! [`DEFAULT_CHUNK_SIZE`] split would produce, whatever the context
+//! actually runs (see `ledger_chunks`), so work units — and the
+//! simulated cluster figures built on them — are the same at every chunk
+//! size too.
 //!
 //! Two invariants keep results *byte-identical* at every chunk size and
 //! worker count:
@@ -51,7 +60,7 @@ use cv_common::hash::Sig128;
 use cv_common::ids::{JobId, VcId, VersionGuid};
 use cv_common::{CvError, Result, SimTime};
 use cv_data::catalog::DatasetCatalog;
-use cv_data::chunk::{chunk_ranges, ChunkedTable};
+use cv_data::chunk::{chunk_ranges, DEFAULT_CHUNK_SIZE};
 use cv_data::column::{Column, ColumnBuilder, ColumnData};
 use cv_data::schema::{Schema, SchemaRef};
 use cv_data::table::Table;
@@ -82,7 +91,8 @@ pub struct ExecContext<'a> {
     pub udos: &'a UdoRegistry,
     pub now: SimTime,
     pub eval: EvalCtx,
-    /// Rows per morsel for streamable operators.
+    /// Rows per morsel for streamable operators; `usize::MAX` (the
+    /// default) runs every operator over its whole input.
     pub chunk_size: usize,
     /// Fans per-chunk work across workers; [`SerialRunner`] by default.
     pub runner: Arc<dyn MorselRunner>,
@@ -110,7 +120,7 @@ impl<'a> ExecContext<'a> {
             udos,
             now,
             eval,
-            chunk_size: cv_data::chunk::DEFAULT_CHUNK_SIZE,
+            chunk_size: usize::MAX,
             runner: Arc::new(SerialRunner),
             spool_sink: None,
             obs: None,
@@ -123,8 +133,10 @@ impl<'a> ExecContext<'a> {
         self
     }
 
-    /// Override the morsel chunk size and runner (service layer plugs in
-    /// its pool-backed runner here).
+    /// Ask for morsels: streamable operators split their input into
+    /// `chunk_size`-row chunks and fan them through `runner` (the service
+    /// layer plugs in its pool-backed runner here). The only way to get
+    /// chunked execution; results and the work ledger do not depend on it.
     pub fn with_chunking(
         mut self,
         chunk_size: usize,
@@ -281,28 +293,43 @@ fn record(
     });
 }
 
-/// Run a chunk-wise transform over the input: slice into morsels, fan them
-/// out through the context's [`MorselRunner`], and reassemble the outputs
-/// in chunk order (normalized). Returns the table and the morsel count for
-/// the work ledger.
+/// Morsels the work ledger charges for a streamed input of `rows` rows:
+/// the chunks a [`DEFAULT_CHUNK_SIZE`] split would produce, or one for a
+/// nondeterministic chain (which never splits). The charge is nominal —
+/// it does not follow the context's chunk size — so serial whole-input
+/// execution and every chunked run book the same work: the cluster
+/// simulator, and through it the golden paper artifacts, price jobs from
+/// this ledger.
+fn ledger_chunks(rows: usize, deterministic: bool) -> usize {
+    if deterministic {
+        rows.div_ceil(DEFAULT_CHUNK_SIZE).max(1)
+    } else {
+        1
+    }
+}
+
+/// Run a transform over the input: whole, or — when the context asks for
+/// morsels — sliced into chunks fanned out through the context's
+/// [`MorselRunner`] and reassembled in chunk order. The output is
+/// normalized either way. Returns the table and the [`ledger_chunks`]
+/// charge.
 ///
 /// When `deterministic` is false — the operator's expressions contain
-/// `RANDOM()`/`NEW_GUID()` — the input collapses to a single chunk
-/// evaluated against the shared [`EvalCtx`], so the per-row nondeterminism
-/// counter advances in exactly the monolithic order regardless of the
-/// configured chunk size or worker count.
+/// `RANDOM()`/`NEW_GUID()` — the input always runs as one chunk evaluated
+/// against the shared [`EvalCtx`], so the per-row nondeterminism counter
+/// advances in exactly the whole-input order regardless of the configured
+/// chunk size or worker count.
 fn stream_chunks(
     input: &Table,
     ctx: &mut ExecContext<'_>,
     deterministic: bool,
     transform: &(dyn Fn(&Table, &mut EvalCtx) -> Result<Table> + Sync),
 ) -> Result<(Table, usize)> {
+    let charged = ledger_chunks(input.num_rows(), deterministic);
     let chunk_size = if deterministic { ctx.chunk_size } else { usize::MAX };
     let ranges = chunk_ranges(input.num_rows(), chunk_size);
     if ranges.len() == 1 {
-        let out = transform(input, &mut ctx.eval)?;
-        let schema = out.schema().clone();
-        return Ok((Table::from_chunks(schema, &[out])?, 1));
+        return Ok((transform(input, &mut ctx.eval)?.normalized(), charged));
     }
     let base_eval = ctx.eval.clone();
     let outputs = morsel::run_indexed(ctx.runner.as_ref(), ranges.len(), &|i| {
@@ -311,7 +338,7 @@ fn stream_chunks(
     });
     let chunks = outputs.into_iter().collect::<Result<Vec<Table>>>()?;
     let schema = chunks[0].schema().clone();
-    Ok((Table::from_chunks(schema, &chunks)?, ranges.len()))
+    Ok((Table::from_chunks(schema, &chunks)?, charged))
 }
 
 /// Dispatch one operator, emitting [`ObsSink`] events around the recursion
@@ -455,38 +482,14 @@ fn exec_node_inner(
             // Operator-state reuse applies to the hash build side only:
             // derive the build key and ask the source before executing the
             // right subtree at all.
-            let mut hit: Option<Arc<OpStateEntry>> = None;
-            let mut claimed = false;
-            let mut key: Option<Sig128> = None;
-            if *algo == JoinAlgo::Hash {
-                if let Some(src) = ctx.op_states {
-                    if let Some(k) = opstate::join_build_key(right, on) {
-                        key = Some(k);
-                        match src.acquire(k) {
-                            OpStateAcquire::Hit(e) if matches!(*e.state, OpState::JoinBuild(_)) => {
-                                hit = Some(e)
-                            }
-                            OpStateAcquire::Hit(_) => {}
-                            OpStateAcquire::Build { claimed: c } => claimed = c,
-                        }
-                    }
-                }
-            }
-            if let Some(entry) = hit {
-                // A restored build must still honor the stale-plan check
-                // the skipped scans would have made.
-                opstate::validate_scan_guids(right, ctx.catalog)?;
-                let OpState::JoinBuild(jb) = &*entry.state else { unreachable!() };
-                metrics.op_state_hits += 1;
-                metrics.op_state_work_avoided += entry.build_work;
-                metrics.op_state_wall_avoided += entry.build_wall;
-                if let Some(obs) = ctx.obs {
-                    obs.op_state_hit("join_build", key.expect("hit implies key"));
-                }
-                // The stage builder zips profiles 1:1 against the plan
-                // tree: emit zero-work placeholders for the skipped
-                // subtree, in the same postorder execution would have.
-                push_skipped_profiles(right, metrics);
+            let mut acq = acquire_breaker(ctx, metrics, "join_build", || match algo {
+                JoinAlgo::Hash => opstate::join_build_key(right, on),
+                _ => None,
+            });
+            if let Some(jb) = restore_state(ctx, metrics, right, &acq, |s| match s {
+                OpState::JoinBuild(jb) => Some(jb),
+                _ => None,
+            })? {
                 metrics.data_read_bytes += l.byte_size() + jb.table.byte_size();
                 let (out, probe_chunks) = hash_join_probe(&l, jb, on, *kind, ctx)?;
                 let out = restore_swapped_columns(out, *swapped, l.schema().len())?;
@@ -497,49 +500,18 @@ fn exec_node_inner(
                 record(metrics, plan, &out, work, None);
                 return Ok(out);
             }
-            if key.is_some() {
-                metrics.op_state_misses += 1;
-                if let Some(obs) = ctx.obs {
-                    obs.op_state_miss("join_build");
-                }
-            }
             let build_work_before = metrics.total_work;
             let build_started = std::time::Instant::now();
-            let r = match exec_node(right, ctx, model, metrics, pending) {
-                Ok(t) => t,
-                Err(e) => {
-                    if claimed {
-                        abandon_claim(ctx, key);
-                    }
-                    return Err(e);
-                }
-            };
+            let r = exec_node(right, ctx, model, metrics, pending)?;
             metrics.data_read_bytes += l.byte_size() + r.byte_size();
             let (out, probe_chunks) = match algo {
                 JoinAlgo::Hash => {
-                    let jb = match build_join_state(&r, on) {
-                        Ok(jb) => jb,
-                        Err(e) => {
-                            if claimed {
-                                abandon_claim(ctx, key);
-                            }
-                            return Err(e);
-                        }
-                    };
-                    let state = Arc::new(OpState::JoinBuild(jb));
-                    if claimed {
+                    let state = Arc::new(OpState::JoinBuild(build_join_state(&r, on)?));
+                    if acq.claimed() {
                         let build_wall = build_started.elapsed().as_secs_f64();
                         let build_work = metrics.total_work - build_work_before
                             + model.hash_build(r.num_rows() as f64).total();
-                        publish_state(
-                            ctx,
-                            metrics,
-                            right,
-                            key,
-                            state.clone(),
-                            build_work,
-                            build_wall,
-                        );
+                        acq.publish(ctx, metrics, right, state.clone(), build_work, build_wall);
                     }
                     let OpState::JoinBuild(jb) = &*state else { unreachable!() };
                     hash_join_probe(&l, jb, on, *kind, ctx)?
@@ -565,7 +537,7 @@ fn exec_node_inner(
             Ok(out)
         }
         PhysicalPlan::HashAggregate { group_by, aggs, schema, input, .. } => {
-            let acq = acquire_breaker(ctx, metrics, "agg_state", || {
+            let mut acq = acquire_breaker(ctx, metrics, "agg_state", || {
                 opstate::agg_state_key(input, group_by, aggs)
             });
             if let Some(out) = restore_table_state(ctx, metrics, input, &acq, |s| match s {
@@ -577,38 +549,22 @@ fn exec_node_inner(
             }
             let build_work_before = metrics.total_work;
             let build_started = std::time::Instant::now();
-            let in_table = match exec_node(input, ctx, model, metrics, pending) {
-                Ok(t) => t,
-                Err(e) => {
-                    if acq.claimed {
-                        abandon_claim(ctx, acq.key);
-                    }
-                    return Err(e);
-                }
-            };
+            let in_table = exec_node(input, ctx, model, metrics, pending)?;
             metrics.data_read_bytes += in_table.byte_size();
-            let (out, chunks) = match hash_aggregate(&in_table, group_by, aggs, schema, ctx) {
-                Ok(v) => v,
-                Err(e) => {
-                    if acq.claimed {
-                        abandon_claim(ctx, acq.key);
-                    }
-                    return Err(e);
-                }
-            };
+            let (out, chunks) = hash_aggregate(&in_table, group_by, aggs, schema, ctx)?;
             let work = model.hash_aggregate(in_table.num_rows() as f64, aggs.len()).total()
                 + model.morsel_dispatch(chunks as f64).total();
             record(metrics, plan, &out, work, None);
-            if acq.claimed {
+            if acq.claimed() {
                 let build_wall = build_started.elapsed().as_secs_f64();
                 let build_work = metrics.total_work - build_work_before;
                 let state = Arc::new(OpState::AggOutput(out.clone()));
-                publish_state(ctx, metrics, input, acq.key, state, build_work, build_wall);
+                acq.publish(ctx, metrics, input, state, build_work, build_wall);
             }
             Ok(out)
         }
         PhysicalPlan::Sort { keys, input, .. } => {
-            let acq =
+            let mut acq =
                 acquire_breaker(ctx, metrics, "sort_run", || opstate::sort_state_key(input, keys));
             if let Some(out) = restore_table_state(ctx, metrics, input, &acq, |s| match s {
                 OpState::SortRun(t) => Some(t),
@@ -619,54 +575,32 @@ fn exec_node_inner(
             }
             let build_work_before = metrics.total_work;
             let build_started = std::time::Instant::now();
-            let in_table = match exec_node(input, ctx, model, metrics, pending) {
-                Ok(t) => t,
-                Err(e) => {
-                    if acq.claimed {
-                        abandon_claim(ctx, acq.key);
-                    }
-                    return Err(e);
-                }
-            };
+            let in_table = exec_node(input, ctx, model, metrics, pending)?;
             metrics.data_read_bytes += in_table.byte_size();
-            let sorted = (|| -> Result<Table> {
-                let mut resolved = Vec::with_capacity(keys.len());
-                for (name, asc) in keys {
-                    let idx = in_table
-                        .schema()
-                        .index_of(name)
-                        .ok_or_else(|| CvError::exec(format!("sort key `{name}` missing")))?;
-                    resolved.push((idx, *asc));
-                }
-                in_table.sort_by(&resolved)
-            })();
-            let out = match sorted {
-                Ok(t) => t,
-                Err(e) => {
-                    if acq.claimed {
-                        abandon_claim(ctx, acq.key);
-                    }
-                    return Err(e);
-                }
-            };
+            let mut resolved = Vec::with_capacity(keys.len());
+            for (name, asc) in keys {
+                let idx = in_table
+                    .schema()
+                    .index_of(name)
+                    .ok_or_else(|| CvError::exec(format!("sort key `{name}` missing")))?;
+                resolved.push((idx, *asc));
+            }
+            let out = in_table.sort_by(&resolved)?;
             let work = model.sort(in_table.num_rows() as f64).total();
             record(metrics, plan, &out, work, None);
-            if acq.claimed {
+            if acq.claimed() {
                 let build_wall = build_started.elapsed().as_secs_f64();
                 let build_work = metrics.total_work - build_work_before;
                 let state = Arc::new(OpState::SortRun(out.clone()));
-                publish_state(ctx, metrics, input, acq.key, state, build_work, build_wall);
+                acq.publish(ctx, metrics, input, state, build_work, build_wall);
             }
             Ok(out)
         }
         PhysicalPlan::Limit { n, input, .. } => {
             let in_table = exec_node(input, ctx, model, metrics, pending)?;
-            // Chunk-aware prefix take: chunks fully inside the limit are
-            // reused by reference (identity runs), only the boundary chunk
-            // is gathered.
-            let keep: Vec<usize> = (0..in_table.num_rows().min(*n)).collect();
-            let ct = ChunkedTable::from_table(&in_table, ctx.chunk_size);
-            let out = ct.take(&keep)?.into_table()?;
+            // A prefix slice: the whole input is shared by reference, a
+            // proper prefix is one range copy.
+            let out = in_table.slice(0, in_table.num_rows().min(*n)).normalized();
             record(metrics, plan, &out, model.limit().total(), None);
             Ok(out)
         }
@@ -702,10 +636,10 @@ fn exec_node_inner(
             // produced — the single-flight layer buffers them so a job
             // waiting on this view can start before the store commit.
             if let Some(sink) = ctx.spool_sink {
-                let ct = ChunkedTable::from_table(&in_table, ctx.chunk_size);
-                let last = ct.num_chunks() - 1;
-                for (i, chunk) in ct.chunks().iter().enumerate() {
-                    sink.publish_chunk(*sig, chunk, i == last);
+                let ranges = chunk_ranges(in_table.num_rows(), ctx.chunk_size);
+                let last = ranges.len() - 1;
+                for (i, &(off, len)) in ranges.iter().enumerate() {
+                    sink.publish_chunk(*sig, &in_table.slice(off, len), i == last);
                 }
             }
             pending.push(PendingView {
@@ -725,28 +659,70 @@ fn exec_node_inner(
 
 /// One breaker's cache negotiation: the derived key (if the subtree is
 /// reuse-safe and a source is installed), a resident hit, or a
-/// single-flight claim obligating this execution to publish or abandon.
-struct BreakerAcq {
+/// single-flight claim obligating this execution to publish. The claim is
+/// a guard: dropping it unpublished — any error between acquire and
+/// publish — abandons the key, so waiters degrade to inline builds
+/// instead of waiting on a build that will never land.
+struct BreakerAcq<'a> {
     key: Option<Sig128>,
     kind: &'static str,
     hit: Option<Arc<OpStateEntry>>,
-    claimed: bool,
+    /// The source this execution holds the claim on, until published.
+    claim: Option<&'a dyn OpStateSource>,
 }
 
-fn acquire_breaker(
-    ctx: &ExecContext<'_>,
+impl BreakerAcq<'_> {
+    fn claimed(&self) -> bool {
+        self.claim.is_some()
+    }
+
+    /// Publish a freshly built breaker state under the held claim.
+    fn publish(
+        &mut self,
+        ctx: &ExecContext<'_>,
+        metrics: &mut ExecMetrics,
+        subtree: &PhysicalPlan,
+        state: Arc<OpState>,
+        build_work: f64,
+        build_wall: f64,
+    ) {
+        let (Some(src), Some(key)) = (self.claim.take(), self.key) else { return };
+        let (dep_sigs, scan_deps) = opstate::state_deps(subtree);
+        let bytes = state_bytes(&state);
+        let kind = state.kind();
+        metrics.op_state_published += 1;
+        if let Some(obs) = ctx.obs {
+            obs.op_state_published(kind, bytes);
+        }
+        src.publish(
+            key,
+            OpStateEntry { state, bytes, build_work, build_wall, dep_sigs, scan_deps },
+        );
+    }
+}
+
+impl Drop for BreakerAcq<'_> {
+    fn drop(&mut self) {
+        if let (Some(src), Some(key)) = (self.claim.take(), self.key) {
+            src.abandon(key);
+        }
+    }
+}
+
+fn acquire_breaker<'a>(
+    ctx: &ExecContext<'a>,
     metrics: &mut ExecMetrics,
     kind: &'static str,
     derive_key: impl FnOnce() -> Option<Sig128>,
-) -> BreakerAcq {
-    let mut acq = BreakerAcq { key: None, kind, hit: None, claimed: false };
+) -> BreakerAcq<'a> {
+    let mut acq = BreakerAcq { key: None, kind, hit: None, claim: None };
     let Some(src) = ctx.op_states else { return acq };
     let Some(key) = derive_key() else { return acq };
     acq.key = Some(key);
     match src.acquire(key) {
         OpStateAcquire::Hit(e) => acq.hit = Some(e),
         OpStateAcquire::Build { claimed } => {
-            acq.claimed = claimed;
+            acq.claim = claimed.then_some(src);
             metrics.op_state_misses += 1;
             if let Some(obs) = ctx.obs {
                 obs.op_state_miss(kind);
@@ -756,18 +732,19 @@ fn acquire_breaker(
     acq
 }
 
-/// Restore a whole-table breaker state (aggregate output, sort run): guid
-/// validation, hit accounting, and placeholder profiles for the skipped
-/// input subtree. Returns `Ok(None)` when there is no usable hit.
-fn restore_table_state(
+/// Take a resident hit whose state `pick` accepts: guid validation (a
+/// restored state must still raise the stale-plan error the skipped scans
+/// would have), hit accounting, and placeholder profiles for the skipped
+/// subtree. Returns `Ok(None)` when there is no usable hit.
+fn restore_state<'s, T>(
     ctx: &ExecContext<'_>,
     metrics: &mut ExecMetrics,
     subtree: &PhysicalPlan,
-    acq: &BreakerAcq,
-    pick: impl FnOnce(&OpState) -> Option<&Table>,
-) -> Result<Option<Table>> {
+    acq: &'s BreakerAcq<'_>,
+    pick: impl FnOnce(&'s OpState) -> Option<&'s T>,
+) -> Result<Option<&'s T>> {
     let Some(entry) = &acq.hit else { return Ok(None) };
-    let Some(table) = pick(&entry.state) else { return Ok(None) };
+    let Some(state) = pick(&entry.state) else { return Ok(None) };
     opstate::validate_scan_guids(subtree, ctx.catalog)?;
     metrics.op_state_hits += 1;
     metrics.op_state_work_avoided += entry.build_work;
@@ -775,7 +752,22 @@ fn restore_table_state(
     if let Some(obs) = ctx.obs {
         obs.op_state_hit(acq.kind, acq.key.expect("hit implies key"));
     }
+    // The stage builder zips profiles 1:1 against the plan tree: emit
+    // zero-work placeholders for the skipped subtree, in the same
+    // postorder execution would have.
     push_skipped_profiles(subtree, metrics);
+    Ok(Some(state))
+}
+
+/// Restore a whole-table breaker state (aggregate output, sort run).
+fn restore_table_state(
+    ctx: &ExecContext<'_>,
+    metrics: &mut ExecMetrics,
+    subtree: &PhysicalPlan,
+    acq: &BreakerAcq<'_>,
+    pick: impl FnOnce(&OpState) -> Option<&Table>,
+) -> Result<Option<Table>> {
+    let Some(table) = restore_state(ctx, metrics, subtree, acq, pick)? else { return Ok(None) };
     metrics.data_read_bytes += table.byte_size();
     Ok(Some(table.clone()))
 }
@@ -784,35 +776,6 @@ fn state_bytes(state: &OpState) -> u64 {
     match state {
         OpState::JoinBuild(jb) => jb.byte_size(),
         OpState::AggOutput(t) | OpState::SortRun(t) => t.byte_size(),
-    }
-}
-
-/// Publish a freshly built breaker state under a held claim.
-fn publish_state(
-    ctx: &ExecContext<'_>,
-    metrics: &mut ExecMetrics,
-    subtree: &PhysicalPlan,
-    key: Option<Sig128>,
-    state: Arc<OpState>,
-    build_work: f64,
-    build_wall: f64,
-) {
-    let (Some(src), Some(key)) = (ctx.op_states, key) else { return };
-    let (dep_sigs, scan_deps) = opstate::state_deps(subtree);
-    let bytes = state_bytes(&state);
-    let kind = state.kind();
-    metrics.op_state_published += 1;
-    if let Some(obs) = ctx.obs {
-        obs.op_state_published(kind, bytes);
-    }
-    src.publish(key, OpStateEntry { state, bytes, build_work, build_wall, dep_sigs, scan_deps });
-}
-
-/// Release a held claim after a failed build so waiters degrade to inline
-/// builds instead of timing out.
-fn abandon_claim(ctx: &ExecContext<'_>, key: Option<Sig128>) {
-    if let (Some(src), Some(key)) = (ctx.op_states, key) {
-        src.abandon(key);
     }
 }
 
@@ -983,10 +946,12 @@ fn build_join_state(right: &Table, on: &[(String, String)]) -> Result<JoinBuildS
     Ok(JoinBuildState { table: right.clone(), key_cols: rk, ht })
 }
 
-/// The probe side streams chunk-at-a-time against the (possibly restored)
-/// build state. Each chunk emits its own output slice (chunk-local left
-/// rows ascending, candidates ascending), so chunk-order reassembly
-/// reproduces the monolithic emit order exactly.
+/// The probe side runs against the (possibly restored) build state, whole
+/// or chunk-at-a-time when the context asks for morsels. Each chunk emits
+/// its own output slice (chunk-local left rows ascending, candidates
+/// ascending), so chunk-order reassembly reproduces the whole-input emit
+/// order exactly. Returns the output and the `ledger_chunks` charge for
+/// the left input.
 fn hash_join_probe(
     left: &Table,
     state: &JoinBuildState,
@@ -1045,11 +1010,10 @@ fn hash_join_probe(
         }
         join_output_from_indices(chunk, right, &left_idx, &right_idx, kind)
     };
+    let charged = ledger_chunks(left.num_rows(), true);
     let ranges = chunk_ranges(left.num_rows(), ctx.chunk_size);
     if ranges.len() == 1 {
-        let out = probe(left)?;
-        let schema = out.schema().clone();
-        return Ok((Table::from_chunks(schema, &[out])?, 1));
+        return Ok((probe(left)?.normalized(), charged));
     }
     let outputs = morsel::run_indexed(ctx.runner.as_ref(), ranges.len(), &|i| {
         let (off, len) = ranges[i];
@@ -1057,7 +1021,7 @@ fn hash_join_probe(
     });
     let chunks = outputs.into_iter().collect::<Result<Vec<Table>>>()?;
     let schema = chunks[0].schema().clone();
-    Ok((Table::from_chunks(schema, &chunks)?, ranges.len()))
+    Ok((Table::from_chunks(schema, &chunks)?, charged))
 }
 
 fn loop_join(
@@ -1356,11 +1320,13 @@ fn hash_aggregate(
     schema: &SchemaRef,
     ctx: &mut ExecContext<'_>,
 ) -> Result<(Table, usize)> {
-    // Phase 1 — evaluate group keys and aggregate arguments chunk-at-a-time
-    // (the parallelizable part, fanned through the morsel runner). Phase 2 —
-    // accumulate serially in global row order, so order-sensitive
-    // accumulation (float SUM/AVG) produces the monolithic bit pattern at
-    // every chunk size and worker count.
+    // Phase 1 — evaluate group keys and aggregate arguments, whole or
+    // chunk-at-a-time (the parallelizable part, fanned through the morsel
+    // runner). Phase 2 — accumulate serially in global row order, so
+    // order-sensitive accumulation (float SUM/AVG) produces the whole-input
+    // bit pattern at every chunk size and worker count. The ledger charge
+    // is the `ledger_chunks` of the input plus that of the emitted groups,
+    // less one.
     let det = group_by.iter().all(|(e, _)| e.is_deterministic())
         && aggs.iter().all(AggExpr::is_deterministic);
     let chunk_size = if det { ctx.chunk_size } else { usize::MAX };
@@ -1463,10 +1429,10 @@ fn hash_aggregate(
         });
     }
 
-    // Final merge streams chunk-at-a-time: each output chunk rebuilds its
+    // Final merge, whole or chunk-at-a-time: each output chunk rebuilds its
     // slice of key columns from representative cells and finishes its
     // accumulators independently, then chunk-order reassembly normalizes —
-    // no monolithic materialize-then-sort. Builders produce the canonical
+    // no materialize-then-sort. Builders produce the canonical
     // validity form, so output bytes are independent of which chunk a
     // representative landed in and of the emit fan-out.
     let emit = |off: usize, len: usize| -> Result<Table> {
@@ -1501,7 +1467,8 @@ fn hash_aggregate(
         .collect::<Result<Vec<_>>>()?
     };
     let out = Table::from_chunks(schema.clone(), &out_chunks)?;
-    Ok((out, ranges.len() + out_ranges.len() - 1))
+    let charged = ledger_chunks(input.num_rows(), det) + ledger_chunks(order.len(), det) - 1;
+    Ok((out, charged))
 }
 
 #[cfg(test)]
@@ -2008,10 +1975,25 @@ mod tests {
         chunk_size: usize,
         vectorized: bool,
     ) -> Table {
-        let mut ctx = ExecContext::new(cat, views, udos, SimTime::EPOCH)
-            .with_chunking(chunk_size, Arc::new(SerialRunner));
+        exec_outcome(physical, model, cat, views, udos, chunk_size, vectorized).table
+    }
+
+    /// `chunk_size == usize::MAX` runs the default whole-input context.
+    fn exec_outcome(
+        physical: &PhysicalPlan,
+        model: &CostModel,
+        cat: &DatasetCatalog,
+        views: &ViewStore,
+        udos: &UdoRegistry,
+        chunk_size: usize,
+        vectorized: bool,
+    ) -> ExecOutcome {
+        let mut ctx = ExecContext::new(cat, views, udos, SimTime::EPOCH);
+        if chunk_size != usize::MAX {
+            ctx = ctx.with_chunking(chunk_size, Arc::new(SerialRunner));
+        }
         ctx.eval.vectorized = vectorized;
-        execute(physical, &mut ctx, model).unwrap().table
+        execute(physical, &mut ctx, model).unwrap()
     }
 
     /// Byte-level equality: values, buffer contents, validity bitmaps and
@@ -2033,11 +2015,12 @@ mod tests {
         }
     }
 
-    /// The satellite differential property test: a DetRng-generated input
-    /// (nulls included, 103 rows — not divisible by any tested chunk size)
-    /// through filter → project → join → aggregate must be byte-for-byte
-    /// identical at every chunk size, with the vectorized kernels on and
-    /// off.
+    /// The differential property test: a DetRng-generated input (nulls
+    /// included, 103 rows — not divisible by any tested chunk size) through
+    /// filter → project → join → aggregate must be byte-for-byte identical
+    /// at every chunk size, with the vectorized kernels on and off — and
+    /// book the same work, in total and per operator, as the whole-input
+    /// run: the ledger charges nominal morsels, not executed ones.
     #[test]
     fn chunked_execution_is_byte_identical_at_every_chunk_size() {
         let mut rng = cv_common::DetRng::seed(42);
@@ -2087,16 +2070,18 @@ mod tests {
             .build();
         let (physical, model) = optimize_physical(&plan, &cat);
         for vectorized in [true, false] {
-            let mono = exec_chunked(&physical, &model, &cat, &views, &udos, usize::MAX, vectorized);
-            assert!(mono.num_rows() > 0);
+            let whole =
+                exec_outcome(&physical, &model, &cat, &views, &udos, usize::MAX, vectorized);
+            assert!(whole.table.num_rows() > 0);
             for chunk_size in [1, 3, 7, 50, 2048] {
                 let chunked =
-                    exec_chunked(&physical, &model, &cat, &views, &udos, chunk_size, vectorized);
-                assert_byte_identical(
-                    &chunked,
-                    &mono,
-                    &format!("chunk {chunk_size} vectorized {vectorized}"),
-                );
+                    exec_outcome(&physical, &model, &cat, &views, &udos, chunk_size, vectorized);
+                let what = format!("chunk {chunk_size} vectorized {vectorized}");
+                assert_byte_identical(&chunked.table, &whole.table, &what);
+                assert_eq!(chunked.metrics.total_work, whole.metrics.total_work, "{what}");
+                let work =
+                    |m: &ExecMetrics| m.op_profiles.iter().map(|p| p.work).collect::<Vec<_>>();
+                assert_eq!(work(&chunked.metrics), work(&whole.metrics), "{what}");
             }
         }
     }

@@ -154,9 +154,6 @@ pub struct DriverConfig {
     pub store: StoreBackend,
     /// Incremental view maintenance mode (off by default).
     pub ivm: IvmMode,
-    /// Rows per execution chunk (morsel). Results are byte-identical at
-    /// every value; this only moves the streaming granularity.
-    pub chunk_size: usize,
     /// Resident-bytes budget for the operator-state cache (hash-join
     /// builds, aggregate states, sort runs keyed by input signature — keys
     /// embed the scanned GUIDs, so rotated inputs self-invalidate). 0
@@ -177,7 +174,6 @@ impl DriverConfig {
             faults: FaultPlan::none(),
             store: StoreBackend::Memory,
             ivm: IvmMode::Off,
-            chunk_size: cv_data::chunk::DEFAULT_CHUNK_SIZE,
             op_state_budget_bytes: 0,
         }
     }

@@ -10,9 +10,8 @@
 //! data plane and digests, the robustness counters and the operator-state
 //! cache — and performs each shared step exactly once:
 //!
-//! 1. [`Lifecycle::new`] — engine setup (chunk size, the analyzer as
-//!    containment prover and plan verifier, the op-state cache and its
-//!    warm states).
+//! 1. [`Lifecycle::new`] — engine setup (the analyzer as containment
+//!    prover and plan verifier, the op-state cache and its warm states).
 //! 2. [`Lifecycle::start_day`] — raw-dataset ingest (delta-producing iff
 //!    IVM is on) and the day's GDPR forget-request.
 //! 3. [`due_jobs`], [`Lifecycle::admit`] and [`Lifecycle::use_cloudviews`]
@@ -160,10 +159,10 @@ impl<'r> Lifecycle<'r> {
         store: &'r dyn SharedViewStore,
         crash_retry: bool,
     ) -> Lifecycle<'r> {
+        // Every job executes serially, each operator over its whole input:
+        // the service gets its parallelism from running jobs one per pool
+        // worker (paper §2.1), not from splitting a job into morsels.
         let mut engine = QueryEngine::with_config(cfg.optimizer.clone());
-        // In the service, jobs already run one per pool worker, so chunks
-        // stream inside each job serially.
-        engine.chunk_size = cfg.chunk_size.max(1);
         let analyzer = Arc::new(cv_analyzer::Analyzer::new(&cfg.optimizer));
         // The analyzer is always the containment prover: semantic (widened)
         // view matches only happen when it certifies them.
@@ -636,5 +635,78 @@ fn run_analysis(
         let n = selection.len();
         insights.publish_selection(None, selection.chosen);
         n
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::generator::{generate_workload, WorkloadConfig};
+    use cv_data::ShardedViewStore;
+    use cv_engine::exec::{execute, ExecContext, SerialRunner};
+    use cv_engine::optimizer::{AlwaysGrant, ReuseContext};
+    use cv_engine::physical::PhysicalPlan;
+
+    fn has_spool(p: &PhysicalPlan) -> bool {
+        matches!(p, PhysicalPlan::Spool { .. }) || p.children().into_iter().any(has_spool)
+    }
+
+    /// Morsels never leak into results: every template of the small
+    /// workload, over its first two days, yields byte-identical tables and
+    /// spooled views run whole and at 7-row chunks. Every subexpression is
+    /// marked for building, so the plans carry spools.
+    #[test]
+    fn chunked_execution_matches_whole_input_on_every_template() {
+        let w = generate_workload(WorkloadConfig {
+            scale: 0.05,
+            n_analytics: 12,
+            ..WorkloadConfig::default()
+        });
+        let cfg = DriverConfig::enabled(2);
+        let store = ShardedViewStore::new(cfg.view_ttl, 1);
+        let mut core = Lifecycle::new(&w, &cfg, &store, false);
+        let (mut jobs, mut spooled) = (0, 0);
+        for day in (0..cfg.days).map(SimDay) {
+            core.start_day(day, None).unwrap();
+            for template in due_jobs(&w, day) {
+                let submit = template.submit_time(day);
+                let whole = {
+                    let engine = &core.engine;
+                    let plan = template.build_plan(engine, day).unwrap();
+                    let subexprs = engine.subexpressions(&plan).unwrap();
+                    let reuse = ReuseContext {
+                        to_build: subexprs.iter().map(|s| s.strict).collect(),
+                        ..ReuseContext::empty()
+                    };
+                    let physical =
+                        engine.optimize(&plan, &reuse, &mut AlwaysGrant).unwrap().outcome.physical;
+                    spooled += usize::from(has_spool(&physical));
+                    let run = |mut ctx: ExecContext<'_>| {
+                        execute(&physical, &mut ctx, &engine.optimizer.cfg.cost).unwrap()
+                    };
+                    let ctx = || ExecContext::new(&engine.catalog, &store, &engine.udos, submit);
+                    let whole = run(ctx());
+                    let chunked = run(ctx().with_chunking(7, Arc::new(SerialRunner)));
+                    let what = format!("template {:?} day {}", template.id, day.index());
+                    assert_eq!(
+                        format!("{:?}", chunked.table),
+                        format!("{:?}", whole.table),
+                        "{what}"
+                    );
+                    let views = |pending: &[PendingView]| {
+                        pending.iter().map(|pv| format!("{:?}", pv.data)).collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        views(&chunked.pending_views),
+                        views(&whole.pending_views),
+                        "{what}"
+                    );
+                    whole.table
+                };
+                core.publish_output(template.output_dataset(), &whole, submit).unwrap();
+                jobs += 1;
+            }
+        }
+        assert!(jobs > 0 && spooled > 0, "{jobs} jobs, {spooled} with spools");
     }
 }

@@ -5,8 +5,8 @@
 //! driver's worker scaling is the inter-job half): a single
 //! filter→join→aggregate pipeline over a synthetic fact table is executed
 //! with a [`PoolMorselRunner`] at each requested worker count, and the
-//! per-job digest is checked against a monolithic (single-chunk, serial)
-//! reference. The digests must be identical at every point — the curve is
+//! per-job digest is checked against the serial whole-input execution
+//! every workload job gets. The digests must be identical at every point — the curve is
 //! allowed to move wall time only.
 
 use crate::lifecycle::digest_table;
@@ -14,6 +14,7 @@ use cv_common::json::{json, Json};
 use cv_common::rng::DetRng;
 use cv_common::{Result, Sig128, SimTime};
 use cv_data::catalog::DatasetCatalog;
+use cv_data::chunk::DEFAULT_CHUNK_SIZE;
 use cv_data::schema::{Field, Schema};
 use cv_data::table::Table;
 use cv_data::value::{DataType, Value};
@@ -51,7 +52,7 @@ pub struct MorselScalingReport {
     pub chunk_size: usize,
     /// Chunks the probe/stream stages fan out (`ceil(rows / chunk_size)`).
     pub chunks: usize,
-    /// Digest of the single-chunk serial execution — the reference every
+    /// Digest of the serial whole-input execution — the reference every
     /// point must match.
     pub serial_digest: Sig128,
     pub points: Vec<MorselScalingPoint>,
@@ -147,16 +148,16 @@ fn force_hash_joins(p: &mut PhysicalPlan) {
     }
 }
 
-/// Run the scaling benchmark: `rows`-row fact table, one heavy pipeline,
-/// one execution per (worker count), best of `iters` timed runs each.
+/// Run the scaling benchmark: `rows`-row fact table, one heavy pipeline
+/// cut into [`DEFAULT_CHUNK_SIZE`]-row morsels, one execution per (worker
+/// count), best of `iters` timed runs each.
 pub fn run_morsel_scaling(
     seed: u64,
     rows: usize,
-    chunk_size: usize,
     worker_counts: &[usize],
     iters: usize,
 ) -> Result<MorselScalingReport> {
-    let chunk_size = chunk_size.max(1);
+    let chunk_size = DEFAULT_CHUNK_SIZE;
     let dim_n = (rows / 64).max(8);
     let mut rng = DetRng::seed(seed);
     let mut catalog = DatasetCatalog::new();
@@ -187,15 +188,18 @@ pub fn run_morsel_scaling(
         opt.optimize(&logical, &ReuseContext::empty(), &stats, &mut AlwaysGrant)?.physical;
     force_hash_joins(&mut physical);
 
-    let run = |chunk: usize, runner: Arc<dyn MorselRunner>| -> Result<(Table, f64)> {
+    // `None` runs serially, every operator over its whole input.
+    let run = |runner: Option<Arc<dyn MorselRunner>>| -> Result<(Table, f64)> {
         let started = Instant::now();
-        let mut ctx =
-            ExecContext::new(&catalog, &views, &udos, SimTime::EPOCH).with_chunking(chunk, runner);
+        let mut ctx = ExecContext::new(&catalog, &views, &udos, SimTime::EPOCH);
+        if let Some(runner) = runner {
+            ctx = ctx.with_chunking(chunk_size, runner);
+        }
         let out = execute(&physical, &mut ctx, &model)?;
         Ok((out.table, started.elapsed().as_secs_f64()))
     };
 
-    let (serial_table, _) = run(usize::MAX, Arc::new(cv_engine::SerialRunner))?;
+    let (serial_table, _) = run(None)?;
     let serial_digest = digest_table(&serial_table);
 
     let mut points = Vec::with_capacity(worker_counts.len());
@@ -206,10 +210,10 @@ pub fn run_morsel_scaling(
         let mut digest = serial_digest;
         // Warmup once, then keep the fastest of `iters` timed runs. Steal
         // attribution covers only the timed runs.
-        let _ = run(chunk_size, runner.clone())?;
+        let _ = run(Some(runner.clone()))?;
         pool.reset_steal_counts();
         for _ in 0..iters.max(1) {
-            let (table, wall) = run(chunk_size, runner.clone())?;
+            let (table, wall) = run(Some(runner.clone()))?;
             digest = digest_table(&table);
             best = best.min(wall);
         }
@@ -236,10 +240,11 @@ mod tests {
 
     #[test]
     fn every_worker_count_matches_the_serial_digest() {
-        let report = run_morsel_scaling(42, 4_000, 256, &[1, 2, 4], 1).unwrap();
+        // Three whole chunks and a short tail.
+        let report = run_morsel_scaling(42, 3 * DEFAULT_CHUNK_SIZE + 100, &[1, 2, 4], 1).unwrap();
         assert!(report.digests_agree(), "morsel scheduling changed results");
         assert_eq!(report.points.len(), 3);
-        assert_eq!(report.chunks, 16);
+        assert_eq!(report.chunks, 4);
         assert!(report.speedup_at(2).is_some());
         for p in &report.points {
             assert_eq!(p.steals_by_worker.len(), p.workers, "one steal counter per worker");
@@ -248,14 +253,5 @@ mod tests {
         assert_eq!(j.get("digests_agree").and_then(Json::as_bool), Some(true));
         let first = j.get("points").and_then(Json::as_arr).and_then(|a| a.first()).unwrap();
         assert!(first.get("steals_by_worker").and_then(Json::as_arr).is_some());
-    }
-
-    #[test]
-    fn tiny_chunks_and_huge_chunks_agree() {
-        let a = run_morsel_scaling(7, 1_000, 3, &[2], 1).unwrap();
-        let b = run_morsel_scaling(7, 1_000, usize::MAX, &[2], 1).unwrap();
-        assert_eq!(a.serial_digest, b.serial_digest);
-        assert!(a.digests_agree() && b.digests_agree());
-        assert_eq!(b.chunks, 1);
     }
 }

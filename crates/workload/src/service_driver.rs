@@ -1284,37 +1284,6 @@ mod tests {
         assert_eq!(one.ledger.totals(), four.ledger.totals());
     }
 
-    /// The chunking contract end-to-end: the streaming granularity must
-    /// never leak into results. Sequential runs at a tiny, the default, and
-    /// an effectively-monolithic chunk size — and a concurrent run at the
-    /// tiny size — all produce the same per-job digests.
-    #[test]
-    fn chunk_size_never_changes_results() {
-        let w = small_workload();
-        let mut cfg = DriverConfig::enabled(2);
-        cfg.cluster = quick_cluster();
-        let baseline = run_workload(&w, &cfg).unwrap();
-
-        for chunk_size in [7, usize::MAX] {
-            let mut c = cfg.clone();
-            c.chunk_size = chunk_size;
-            let out = run_workload(&w, &c).unwrap();
-            assert_eq!(
-                out.result_digests, baseline.result_digests,
-                "sequential digests diverged at chunk_size {chunk_size}"
-            );
-        }
-
-        let mut c = cfg.clone();
-        c.chunk_size = 7;
-        let svc = run_workload_service(&w, &c, &ServiceConfig::default()).unwrap();
-        assert_eq!(svc.failed_jobs, 0);
-        assert_eq!(
-            svc.result_digests, baseline.result_digests,
-            "service digests diverged at chunk_size 7"
-        );
-    }
-
     /// The concurrent service on the disk-backed sharded store must agree
     /// with the in-memory store bit-for-bit, and report its IO counters.
     #[test]

@@ -39,10 +39,10 @@
 //! A fifth leg is the **morsel scaling curve**: one heavy
 //! filter→join→aggregate query has its chunks fanned across the service
 //! pool at 1/2/4/8 workers (`cv_workload::run_morsel_scaling`). Digests
-//! must match the single-chunk serial run at every point; on hosts with 4+
+//! must match the whole-input serial run at every point; on hosts with 4+
 //! hardware threads the 4-worker point must beat 1 worker by more than
-//! 1.5×. `--chunk-size` moves the streaming granularity of *every* leg —
-//! results are byte-identical at any value.
+//! 1.5×. The workload legs run every job serially, each operator over its
+//! whole input; only this leg cuts a query into morsels.
 //!
 //! A sixth leg (opt-in via `--op-state-cache`) exercises the
 //! **operator-state cache**: the same workload runs with breaker-state
@@ -56,7 +56,7 @@
 //!
 //! Usage:
 //!   cv-serve [--days N] [--scale F] [--seed N] [--analytics N]
-//!            [--workers N] [--shards N] [--chunk-size N]
+//!            [--workers N] [--shards N]
 //!            [--mode closed|open] [--min-speedup auto|F]
 //!            [--morsel-rows N] [--op-state-cache] [--op-state-budget N]
 //!            [--store-dir PATH] [--json PATH]
@@ -83,7 +83,6 @@ struct Args {
     analytics: usize,
     workers: usize,
     shards: usize,
-    chunk_size: usize,
     open_loop: bool,
     min_speedup: Option<f64>, // None = auto
     morsel_rows: usize,
@@ -104,7 +103,6 @@ fn parse_args() -> Result<Args, String> {
         analytics: 24,
         workers: 8,
         shards: 16,
-        chunk_size: cv_data::chunk::DEFAULT_CHUNK_SIZE,
         open_loop: false,
         min_speedup: None,
         morsel_rows: 480_000,
@@ -145,13 +143,6 @@ fn parse_args() -> Result<Args, String> {
             "--shards" => {
                 let v = it.next().ok_or("--shards needs a value")?;
                 args.shards = v.parse().map_err(|_| format!("bad --shards value `{v}`"))?;
-            }
-            "--chunk-size" => {
-                let v = it.next().ok_or("--chunk-size needs a value")?;
-                args.chunk_size = v.parse().map_err(|_| format!("bad --chunk-size value `{v}`"))?;
-                if args.chunk_size == 0 {
-                    return Err("--chunk-size must be at least 1".to_string());
-                }
             }
             "--mode" => {
                 let v = it.next().ok_or("--mode needs closed|open")?;
@@ -200,8 +191,6 @@ fn parse_args() -> Result<Args, String> {
                      --analytics N     analytics templates (default 24)\n  \
                      --workers N       service worker threads (default 8)\n  \
                      --shards N        view-store lock stripes (default 16)\n  \
-                     --chunk-size N    rows per execution chunk (default 2048; results\n                    \
-                     are byte-identical at any value)\n  \
                      --mode M          closed|open load generation (default closed)\n  \
                      --min-speedup S   auto, or a required N-worker/1-worker ratio\n  \
                      --morsel-rows N   rows in the morsel-scaling query (default 480000)\n  \
@@ -271,7 +260,6 @@ fn main() -> ExitCode {
     });
     let mut cfg = DriverConfig::enabled(args.days);
     cfg.cluster.total_containers = 200;
-    cfg.chunk_size = args.chunk_size;
 
     let svc = |workers: usize| ServiceConfig {
         workers,
@@ -326,14 +314,8 @@ fn main() -> ExitCode {
     // ---- Morsel scaling leg: one heavy query, chunks across the pool. ----
     let morsel_counts: Vec<usize> =
         [1usize, 2, 4, 8].into_iter().filter(|&w| w == 1 || w <= args.workers).collect();
-    let morsel = cv_workload::run_morsel_scaling(
-        args.seed,
-        args.morsel_rows,
-        args.chunk_size,
-        &morsel_counts,
-        3,
-    )
-    .expect("morsel scaling benchmark");
+    let morsel = cv_workload::run_morsel_scaling(args.seed, args.morsel_rows, &morsel_counts, 3)
+        .expect("morsel scaling benchmark");
 
     // ---- Operator-state cache leg (opt-in): reuse breaker states. ----
     // Runs at a scale where the dimension tables clear the nested-loop
@@ -595,7 +577,6 @@ fn main() -> ExitCode {
         }),
         "workers": args.workers as u64,
         "shards": s.shards as u64,
-        "chunk_size": args.chunk_size as u64,
         "scaling": scaling,
         "exec_wall_seconds_1w": one.service.exec_wall_seconds,
         "exec_wall_seconds_nw": many.service.exec_wall_seconds,
