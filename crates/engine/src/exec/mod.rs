@@ -946,18 +946,16 @@ fn build_join_state(right: &Table, on: &[(String, String)]) -> Result<JoinBuildS
     Ok(JoinBuildState { table: right.clone(), key_cols: rk, ht })
 }
 
-/// The probe side runs against the (possibly restored) build state, whole
-/// or chunk-at-a-time when the context asks for morsels. Each chunk emits
-/// its own output slice (chunk-local left rows ascending, candidates
-/// ascending), so chunk-order reassembly reproduces the whole-input emit
-/// order exactly. Returns the output and the `ledger_chunks` charge for
-/// the left input.
+/// The probe side streams the left input (see [`stream_chunks`]) against
+/// the (possibly restored) build state. Each chunk emits its own output
+/// slice (chunk-local left rows ascending, candidates ascending), so
+/// chunk-order reassembly reproduces the whole-input emit order exactly.
 fn hash_join_probe(
     left: &Table,
     state: &JoinBuildState,
     on: &[(String, String)],
     kind: JoinKind,
-    ctx: &ExecContext<'_>,
+    ctx: &mut ExecContext<'_>,
 ) -> Result<(Table, usize)> {
     let mut lk = Vec::with_capacity(on.len());
     for (name, _) in on {
@@ -1010,18 +1008,7 @@ fn hash_join_probe(
         }
         join_output_from_indices(chunk, right, &left_idx, &right_idx, kind)
     };
-    let charged = ledger_chunks(left.num_rows(), true);
-    let ranges = chunk_ranges(left.num_rows(), ctx.chunk_size);
-    if ranges.len() == 1 {
-        return Ok((probe(left)?.normalized(), charged));
-    }
-    let outputs = morsel::run_indexed(ctx.runner.as_ref(), ranges.len(), &|i| {
-        let (off, len) = ranges[i];
-        probe(&left.slice(off, len))
-    });
-    let chunks = outputs.into_iter().collect::<Result<Vec<Table>>>()?;
-    let schema = chunks[0].schema().clone();
-    Ok((Table::from_chunks(schema, &chunks)?, charged))
+    stream_chunks(left, ctx, true, &|chunk, _| probe(chunk))
 }
 
 fn loop_join(
